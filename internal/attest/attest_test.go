@@ -7,7 +7,7 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/tdx"
 )
 
-func quotedReport(t *testing.T) (*QuotingKey, *tdx.Module, *Quote) {
+func quotedReport(t testing.TB) (*QuotingKey, *tdx.Module, *Quote) {
 	t.Helper()
 	qk, err := NewQuotingKey()
 	if err != nil {

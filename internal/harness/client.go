@@ -26,6 +26,9 @@ type Client struct {
 	hello *secchan.ClientHello
 	priv  *ecdh.PrivateKey
 	conn  *secchan.Reliable
+	// pending carries the in-flight verdict between BeginFinish and
+	// AwaitFinish (nil when none is in flight).
+	pending chan verdict
 
 	// Rec, when non-nil, is wired onto the record connection once the
 	// handshake finishes (frame events on the client track).
@@ -72,8 +75,34 @@ func (cl *Client) Start() error {
 }
 
 // Finish consumes the server hello, verifies the quote (signature, MRTD,
-// handshake binding) and derives the record keys.
+// handshake binding) and derives the record keys: BeginFinish followed by
+// AwaitFinish.
 func (cl *Client) Finish() error {
+	if err := cl.BeginFinish(); err != nil {
+		return err
+	}
+	return cl.AwaitFinish()
+}
+
+// verdict is the outcome of one off-thread handshake verification.
+type verdict struct {
+	keys secchan.Keys
+	err  error
+}
+
+// BeginFinish receives and decodes the server hello on the calling
+// goroutine (wire faults and decode errors surface here), then starts the
+// handshake verification — quote signature, MRTD, report-data binding,
+// X25519 and key derivation — on its own goroutine. The client is a remote
+// machine: its verification overlaps whatever the caller steps next.
+// ClientFinish reads no entropy and charges no virtual cycles, and every
+// input is captured before the goroutine starts, so the verdict is a pure
+// function of the handshake bytes. No record connection exists until
+// AwaitFinish has the verdict.
+func (cl *Client) BeginFinish() error {
+	if cl.pending != nil {
+		return errors.New("client: handshake verification already in flight")
+	}
 	frame, err := cl.tr.Recv()
 	if err != nil {
 		return fmt.Errorf("client: no server hello: %w", err)
@@ -82,11 +111,32 @@ func (cl *Client) Finish() error {
 	if err != nil {
 		return err
 	}
-	keys, err := secchan.ClientFinish(cl.hello, cl.priv, sh, cl.quotingPub, &cl.expected)
-	if err != nil {
-		return err
+	hello, priv, pub, mrtd := cl.hello, cl.priv, cl.quotingPub, cl.expected
+	ch := make(chan verdict, 1)
+	go func() {
+		keys, err := secchan.ClientFinish(hello, priv, sh, pub, &mrtd)
+		ch <- verdict{keys, err}
+	}()
+	cl.pending = ch
+	return nil
+}
+
+// Verifying reports whether a verification started by BeginFinish has not
+// been joined yet.
+func (cl *Client) Verifying() bool { return cl.pending != nil }
+
+// AwaitFinish joins the verification started by BeginFinish and, only if
+// the quote verified, builds the record connection.
+func (cl *Client) AwaitFinish() error {
+	if cl.pending == nil {
+		return errors.New("client: no handshake verification in flight")
 	}
-	conn, err := keys.Conn(cl.tr, 0)
+	v := <-cl.pending
+	cl.pending = nil
+	if v.err != nil {
+		return v.err
+	}
+	conn, err := v.keys.Conn(cl.tr, 0)
 	if err != nil {
 		return err
 	}

@@ -50,6 +50,10 @@ const CommonName = "serve-model"
 // tenant was still waiting for a reply (chaos-induced fatal, C8 kill).
 var ErrWorkerDead = errors.New("serve: worker terminated")
 
+// ErrTeardown reports that destroying a slot's carcass at turnover failed;
+// the slot's remaining tenants fail with it.
+var ErrTeardown = errors.New("serve: slot teardown failed")
+
 // Config sizes a serving run.
 type Config struct {
 	// Tenants is the number of concurrent sessions (server slots).
@@ -551,7 +555,9 @@ func (s *Server) buildTemplate() error {
 	}
 	// The snapshot retired the sandbox and its task; the empty address
 	// space is all that is left of the boot carcass.
-	_ = s.w.Mon.EMCDestroyAS(s.w.Core(), c.Task.P.AS.ASID)
+	if err := s.w.Mon.EMCDestroyAS(s.w.Core(), c.Task.P.AS.ASID); err != nil {
+		return fmt.Errorf("destroying the boot carcass: %w", err)
+	}
 	s.tmpl = tid
 	return nil
 }
@@ -825,9 +831,7 @@ func (s *Server) setPhase(sl *slot, tenant int, phase string) {
 // the report. It never hangs: every wait is bounded, and a global round
 // budget fails any still-pending session with a typed stall error.
 func (s *Server) Run() (*Report, error) {
-	perSlot := (s.cfg.Sessions+s.cfg.Tenants-1)/s.cfg.Tenants + 1
-	perSession := s.pol.MaxAttempts*(s.pol.RecvRounds+8) + 4*s.pol.RecvRounds + 256
-	maxRounds := 256 + 8*perSlot*perSession
+	maxRounds := s.roundBudget()
 
 	mux := &secchan.MuxProxy{}
 	clock := &s.w.M.Clock
@@ -877,6 +881,9 @@ func (s *Server) Run() (*Report, error) {
 		}
 		for _, sl := range s.slots {
 			if !sl.done {
+				// Joined before the phase is chosen, so a rejected quote
+				// is attributed to the handshake retry it causes.
+				s.joinVerdict(sl)
 				s.setPhase(sl, sl.tenant, phaseOf(sl.state))
 				tickStart := clock.Now()
 				s.tick(sl)
@@ -915,6 +922,11 @@ func (s *Server) Run() (*Report, error) {
 			}
 		}
 	}
+	// No verification outlives Run (every slot is done, so fail or finish
+	// has joined it already; this is the backstop).
+	for _, sl := range s.slots {
+		s.joinVerdict(sl)
+	}
 	// Park the cursor: the trailing fleet span flushes and attribution goes
 	// inert, so per-tenant phase cycles sum exactly to Run()'s elapsed total.
 	s.setPhase(nil, metrics.NoTenant, "")
@@ -926,8 +938,35 @@ func (s *Server) Run() (*Report, error) {
 	return s.report(), nil
 }
 
+// joinVerdict consumes the slot's in-flight handshake verdict, if any. A
+// rejected handshake puts the slot back in stConnect with lastErr set —
+// the state a failed synchronous Finish leaves — so attribution, the retry
+// schedule and every virtual cycle are the same as if the client had
+// verified inline.
+func (s *Server) joinVerdict(sl *slot) {
+	if sl.sess == nil || !sl.sess.Client.Verifying() {
+		return
+	}
+	if err := sl.sess.Client.AwaitFinish(); err != nil {
+		sl.lastErr = err
+		sl.state = stConnect
+	}
+}
+
+// roundBudget is the round after which Run fails every still-pending
+// session with a typed stall error: generous headroom over the retry
+// policy's worst case for the sessions each slot serves.
+func (s *Server) roundBudget() int {
+	perSlot := (s.cfg.Sessions+s.cfg.Tenants-1)/s.cfg.Tenants + 1
+	perSession := s.pol.MaxAttempts*(s.pol.RecvRounds+8) + 4*s.pol.RecvRounds + 256
+	return 256 + 8*perSlot*perSession
+}
+
 // tick advances one slot's session FSM by one bounded step.
 func (s *Server) tick(sl *slot) {
+	// Run has joined already; this keeps a bare tick from stepping past a
+	// pending verdict.
+	s.joinVerdict(sl)
 	switch sl.state {
 	case stConnect:
 		if sl.attempts >= s.pol.MaxAttempts {
@@ -957,7 +996,11 @@ func (s *Server) tick(sl *slot) {
 			return
 		}
 		sl.sess.PumpAll()
-		if err := sl.sess.Client.Finish(); err != nil {
+		// The client verifies the quote off the simulation thread; the
+		// verdict is joined before this slot's next step (joinVerdict), so
+		// a rejected quote lands back here exactly as a synchronous
+		// failure would, one round later, with no record sent meanwhile.
+		if err := sl.sess.Client.BeginFinish(); err != nil {
 			sl.lastErr = err
 			return
 		}
@@ -1116,8 +1159,11 @@ func (s *Server) observeSessionPhases(sl *slot) {
 // SLO exposes the run's SLO engine (nil when Config.SLO was empty).
 func (s *Server) SLO() *slo.Engine { return s.sloEng }
 
-// fail records a typed session failure and turns the slot over.
+// fail records a typed session failure and turns the slot over. A verdict
+// still in flight (a slot stalled mid-handshake) is joined first: the
+// session is failing regardless, and the goroutine must not outlive it.
 func (s *Server) fail(sl *slot, err error) {
+	s.joinVerdict(sl)
 	cycles := s.w.M.Clock.Now() - sl.start
 	s.endSessionSpan(sl)
 	s.w.Met.Inc(metrics.FamilySessions,
@@ -1245,12 +1291,19 @@ func (s *Server) turnover(sl *slot, clean bool) {
 	// releases its CoW claim — private broken pages are freed, shared frames
 	// drop their refcount back toward the template's baseline.
 	asid := sl.c.Task.P.AS.ASID
+	var err error
 	if workerAlive {
 		s.w.K.KillTask(sl.c.Task, 0, "serve: cold teardown")
 	} else if !info.Destroyed {
-		_ = s.w.Mon.EMCSandboxEnd(s.w.Core(), sl.c.ID)
+		err = s.w.Mon.EMCSandboxEnd(s.w.Core(), sl.c.ID)
 	}
-	_ = s.w.Mon.EMCDestroyAS(s.w.Core(), asid)
+	if err == nil {
+		err = s.w.Mon.EMCDestroyAS(s.w.Core(), asid)
+	}
+	if err != nil {
+		s.abandonSlot(sl, next, fmt.Errorf("%w: %v", ErrTeardown, err))
+		return
+	}
 	// Relaunch (a fresh fork when the pool has a template, a cold boot
 	// otherwise) is the incoming tenant's setup cost — and the incoming
 	// session's causal prologue: pre-allocate its root so the launch
@@ -1259,15 +1312,7 @@ func (s *Server) turnover(sl *slot, clean bool) {
 	s.setPhase(sl, next, metrics.PhaseLaunch)
 	c, err := s.launchWorker(sl)
 	if err != nil {
-		// Irrecoverable slot: fail its remaining tenants typed, no hangs.
-		for t := next; t < s.cfg.Sessions; t += s.cfg.Tenants {
-			s.results = append(s.results, SessionResult{
-				Tenant: t, Slot: sl.idx,
-				Err: fmt.Sprintf("serve: slot relaunch failed: %v", err),
-			})
-			s.failed++
-		}
-		sl.done = true
+		s.abandonSlot(sl, next, fmt.Errorf("serve: slot relaunch failed: %v", err))
 		return
 	}
 	sl.c = c
@@ -1277,6 +1322,16 @@ func (s *Server) turnover(sl *slot, clean bool) {
 	}
 	sl.tenant = next
 	s.admit(sl)
+}
+
+// abandonSlot retires an irrecoverable slot: its remaining tenants, from
+// next on, fail typed with err, no hangs.
+func (s *Server) abandonSlot(sl *slot, next int, err error) {
+	for t := next; t < s.cfg.Sessions; t += s.cfg.Tenants {
+		s.results = append(s.results, SessionResult{Tenant: t, Slot: sl.idx, Err: err.Error()})
+		s.failed++
+	}
+	sl.done = true
 }
 
 // report assembles the final Report (results sorted by tenant). The
