@@ -303,29 +303,15 @@ func (m *Machine) checkShootdownInitiator(initiator *Core) {
 
 // Shootdown invalidates the given pages of one address space (identified
 // by its root PTP frame) in every core's TLB, then raises a shootdown IPI
-// on each remote core. The initiator is charged invlpg cost per page plus
-// IPI-send cost per remote; remote handler cost is charged by delivery.
-// Privileged software must call this after any present leaf changes or is
-// removed, before the old frame may be reused.
+// on each remote core: ShootdownBatch over (root, va) pairs. Privileged
+// software must call this after any present leaf changes or is removed,
+// before the old frame may be reused.
 func (m *Machine) Shootdown(initiator *Core, root mem.Frame, vas ...paging.Addr) {
-	m.checkShootdownInitiator(initiator)
-	if len(vas) == 0 {
-		return
+	pairs := make([]ShootdownPair, len(vas))
+	for i, va := range vas {
+		pairs[i] = ShootdownPair{Root: root, VA: va}
 	}
-	m.ProfEnter("cpu/shootdown/invlpg")
-	m.Clock.Charge(costs.TLBInvlPg * uint64(len(vas)))
-	m.ProfExit()
-	m.ShootdownCycles += costs.TLBInvlPg * uint64(len(vas))
-	need := make([]bool, len(m.Cores))
-	for i, c := range m.Cores {
-		for _, va := range vas {
-			if c.tlb.InvalidatePage(root, va) {
-				c.TLBInvalidations++
-				need[i] = true
-			}
-		}
-	}
-	m.shootdownIPIs(initiator, need)
+	m.ShootdownBatch(initiator, pairs)
 }
 
 // ShootdownPair scopes one invalidation of a batched shootdown: page VA of
@@ -338,9 +324,10 @@ type ShootdownPair struct {
 // ShootdownBatch invalidates a set of (root, VA) pairs — possibly spanning
 // several address spaces — in every core's TLB under a single broadcast:
 // at most one IPI per remote core regardless of how many pairs it dropped,
-// versus one broadcast per leaf with repeated Shootdown calls. This is the
-// coalescing primitive behind the EMC submission ring's drain path.
-// Returns the number of IPIs actually sent.
+// versus one broadcast per leaf with repeated calls. The initiator is
+// charged invlpg cost per pair plus IPI-send cost per remote it interrupts;
+// remote handler cost is charged by delivery. Returns the number of IPIs
+// actually sent.
 func (m *Machine) ShootdownBatch(initiator *Core, pairs []ShootdownPair) int {
 	m.checkShootdownInitiator(initiator)
 	if len(pairs) == 0 {

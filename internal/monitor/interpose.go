@@ -254,8 +254,7 @@ func (mon *Monitor) sandboxFault(c *cpu.Core, t *cpu.Trap, sb *sbState) {
 // validating ownership, attachment and seal state.
 func (mon *Monitor) EMCMapSandboxFault(c *cpu.Core, asid ASID, va paging.Addr, write bool) error {
 	return mon.gate(c, "mmu", func() error {
-		mon.M.Clock.Charge(costs.EreborPTEWriteBody)
-		mon.Stats.PTEWrites++
+		mon.pteWrite(1)
 		as, ok := mon.addrSpaces[asid]
 		if !ok {
 			return denied("map-sandbox-fault", "unknown address space %d", asid)
@@ -410,8 +409,7 @@ func (mon *Monitor) ensurePage(sb *sbState, va paging.Addr) error {
 			return err
 		}
 		as.userFrames[va] = leaf.Frame()
-		mon.Stats.PTEWrites++
-		mon.M.Clock.Charge(costs.EreborPTEWriteBody)
+		mon.pteWrite(1)
 		return nil
 	}
 	return denied("ensure-page", "va %#x not declared", va)

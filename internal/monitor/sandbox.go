@@ -306,8 +306,7 @@ func (mon *Monitor) sealCommons(c *cpu.Core, sb *sbState) {
 				}); err != nil {
 					continue // not yet faulted in; will map read-only
 				}
-				mon.Stats.PTEWrites++
-				mon.M.Clock.Charge(costs.EreborPTEWriteBody)
+				mon.pteWrite(1)
 				if changed {
 					stale = append(stale, va)
 				}
@@ -511,8 +510,7 @@ func (mon *Monitor) endSandboxLocked(c *cpu.Core, sb *sbState, reason string) {
 		if as != nil {
 			_ = as.tables.Unmap(va)
 			delete(as.userFrames, va)
-			mon.Stats.PTEWrites++
-			mon.M.Clock.Charge(costs.EreborPTEWriteBody)
+			mon.pteWrite(1)
 		}
 		delete(mon.confinedOwner, f)
 		_ = mon.M.Phys.SetPinned(f, false)

@@ -150,8 +150,7 @@ func (mon *Monitor) EMCSnapshotSandbox(c *cpu.Core, id SandboxID, name string) (
 			}
 			_ = as.tables.Unmap(va)
 			delete(as.userFrames, va)
-			mon.Stats.PTEWrites++
-			mon.M.Clock.Charge(costs.EreborPTEWriteBody)
+			mon.pteWrite(1)
 		}
 		// No core may keep translating into frames that are about to be
 		// shared read-only across tenants.
@@ -312,8 +311,7 @@ func (mon *Monitor) cowBreakLocked(sb *sbState, va paging.Addr) error {
 				return err
 			}
 			as.userFrames[va] = nf
-			mon.Stats.PTEWrites++
-			mon.M.Clock.Charge(costs.EreborPTEWriteBody)
+			mon.pteWrite(1)
 			// Any core may still cache the read-only translation into the
 			// template frame; it must die before the write retires.
 			mon.M.Shootdown(mon.shootdownInitiator(), as.tables.Root, va)
@@ -352,8 +350,7 @@ func (mon *Monitor) releaseCowLocked(sb *sbState) {
 			if _, mapped := as.userFrames[va]; mapped {
 				_ = as.tables.Unmap(va)
 				delete(as.userFrames, va)
-				mon.Stats.PTEWrites++
-				mon.M.Clock.Charge(costs.EreborPTEWriteBody)
+				mon.pteWrite(1)
 				stale = append(stale, va)
 			}
 		}
