@@ -111,6 +111,14 @@ type Physical struct {
 	regions map[string]*Region
 
 	allocated uint64 // currently-allocated frame count (all pools)
+
+	// shared indexes every frame whose Shared bit is set, in the order the
+	// bits were set. It changes only where a Shared bit flips (SetShared, or
+	// Alloc/AllocRegion/Free clearing a set bit), and the metadata is never
+	// writable outside this package, so the index is exact by construction.
+	// It lets the monitor's I6 sweep visit the few shared frames instead of
+	// every frame of the CVM.
+	shared []Frame
 }
 
 // NewPhysical creates a physical memory of size bytes (rounded down to a
@@ -178,7 +186,7 @@ func (p *Physical) Alloc(owner Owner) (Frame, error) {
 	m := &p.meta[f]
 	m.Allocated = true
 	m.Owner = owner
-	m.Shared = false
+	p.clearShared(f)
 	m.Pinned = false
 	m.Refs = 1
 	p.allocated++
@@ -199,7 +207,7 @@ func (p *Physical) AllocRegion(name string, owner Owner) (Frame, error) {
 	m := &p.meta[f]
 	m.Allocated = true
 	m.Owner = owner
-	m.Shared = false
+	p.clearShared(f)
 	// Region frames can have the pin bit flipped between allocations (the
 	// monitor pins confined frames after AllocRegion and Free is not the only
 	// path that toggles it); hand the frame out unpinned like Alloc does, or
@@ -227,7 +235,7 @@ func (p *Physical) Free(f Frame) error {
 	m.Allocated = false
 	m.Owner = OwnerNone
 	m.Pinned = false
-	m.Shared = false
+	p.clearShared(f)
 	m.Refs = 0
 	p.allocated--
 	if m.Region != "" {
@@ -277,8 +285,41 @@ func (p *Physical) SetShared(f Frame, shared bool) error {
 	if err := p.check(f); err != nil {
 		return err
 	}
-	p.meta[f].Shared = shared
+	switch m := &p.meta[f]; {
+	case shared && !m.Shared:
+		m.Shared = true
+		p.shared = append(p.shared, f)
+	case !shared:
+		p.clearShared(f)
+	}
 	return nil
+}
+
+// clearShared drops f's Shared bit and, only if it was set, its index
+// entry; for a private frame it is one bit test. The index holds at most
+// the shared-io window (the monitor refuses MapGPA anywhere else), so the
+// linear search is short.
+func (p *Physical) clearShared(f Frame) {
+	m := &p.meta[f]
+	if !m.Shared {
+		return
+	}
+	m.Shared = false
+	for i, g := range p.shared {
+		if g == f {
+			p.shared = append(p.shared[:i], p.shared[i+1:]...)
+			return
+		}
+	}
+}
+
+// SharedFrames calls fn for every CVM-shared frame, in the order the frames
+// became shared. Its cost is proportional to the number of shared frames,
+// not to the size of physical memory. fn must not flip Shared bits.
+func (p *Physical) SharedFrames(fn func(Frame, FrameMeta)) {
+	for _, f := range p.shared {
+		fn(f, p.meta[f])
+	}
 }
 
 // Bytes returns the backing slice of one frame. The slice aliases the

@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -314,6 +317,64 @@ func TestOwnerString(t *testing.T) {
 	for o, want := range cases {
 		if o.String() != want {
 			t.Errorf("%d.String() = %q, want %q", o, o.String(), want)
+		}
+	}
+}
+
+// TestSharedIndexMatchesScan drives a seeded random mix of every operation
+// that can touch a frame's Shared bit and, after each step, compares the
+// SharedFrames index against a full scan of the metadata.
+func TestSharedIndexMatchesScan(t *testing.T) {
+	const nframes = 64
+	p := NewPhysical(nframes * PageSize)
+	if _, err := p.Reserve("io", 8); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 5000; step++ {
+		f := Frame(rng.Intn(nframes))
+		var op string
+		switch rng.Intn(7) {
+		case 0:
+			op = "alloc"
+			_, _ = p.Alloc(OwnerKernel)
+		case 1:
+			op = "alloc-region"
+			_, _ = p.AllocRegion("io", OwnerDevice)
+		case 2:
+			op = "free"
+			_ = p.Free(f)
+		case 3:
+			op = "incref"
+			_ = p.IncRef(f)
+		case 4:
+			op = "decref"
+			_, _ = p.DecRef(f)
+		default:
+			// SetShared is weighted up so the index is often non-empty;
+			// it also flips unallocated frames, which Alloc must clear.
+			shared := rng.Intn(2) == 0
+			op = fmt.Sprintf("set-shared(%v)", shared)
+			_ = p.SetShared(f, shared)
+		}
+		want := map[Frame]bool{}
+		for g := Frame(0); g < nframes; g++ {
+			if meta, _ := p.Meta(g); meta.Shared {
+				want[g] = true
+			}
+		}
+		got := map[Frame]bool{}
+		p.SharedFrames(func(g Frame, meta FrameMeta) {
+			if got[g] {
+				t.Fatalf("step %d (%s on %d): frame %d indexed twice", step, op, f, g)
+			}
+			if full, _ := p.Meta(g); meta != full {
+				t.Fatalf("step %d (%s on %d): frame %d meta %+v, want %+v", step, op, f, g, meta, full)
+			}
+			got[g] = true
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (%s on %d): index %v, scan %v", step, op, f, got, want)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/asterisc-release/erebor-go/internal/audit"
 	"github.com/asterisc-release/erebor-go/internal/mem"
@@ -46,7 +48,7 @@ func (mon *Monitor) Audit() []audit.Violation {
 	}
 
 	phys := mon.M.Phys
-	n := phys.NumFrames()
+	sc := &mon.auditScratch
 
 	// I1/I2: key assignments in the direct map.
 	for f := range mon.ptps {
@@ -83,21 +85,7 @@ func (mon *Monitor) Audit() []audit.Violation {
 	}
 
 	// Per-frame mapping census across all registered address spaces.
-	type mapping struct {
-		asid ASID
-		va   paging.Addr
-		pte  paging.PTE
-	}
-	userMaps := make(map[mem.Frame][]mapping)
-	for asid, as := range mon.addrSpaces {
-		for va, f := range as.userFrames {
-			e, _, fault := as.tables.Walk(va)
-			if fault != nil {
-				continue
-			}
-			userMaps[f] = append(userMaps[f], mapping{asid, va, e})
-		}
-	}
+	sc.censusMappings(mon)
 
 	// I4: confined single-mapping, pinning, privacy.
 	for f, owner := range mon.confinedOwner {
@@ -112,7 +100,7 @@ func (mon *Monitor) Audit() []audit.Violation {
 		if meta.Shared {
 			report(audit.ConfinedShared, f, "is CVM-shared")
 		}
-		maps := userMaps[f]
+		maps := sc.mappingsOf(f)
 		if len(maps) > 1 {
 			report(audit.ConfinedMultiMapped, f, "mapped %d times", len(maps))
 		}
@@ -130,7 +118,7 @@ func (mon *Monitor) Audit() []audit.Violation {
 			continue
 		}
 		for _, f := range cr.frames {
-			for _, m := range userMaps[f] {
+			for _, m := range sc.mappingsOf(f) {
 				if m.pte.Is(paging.Writable) {
 					report(audit.SealedWritable, f, "sealed region %q writable at %#x in AS %d", name, m.va, m.asid)
 				}
@@ -138,21 +126,25 @@ func (mon *Monitor) Audit() []audit.Violation {
 		}
 	}
 
-	// I6: only shared-io frames may be CVM-shared.
-	for f := mem.Frame(0); uint64(f) < n; f++ {
-		meta, _ := phys.Meta(f)
-		if meta.Shared && meta.Region != RegionSharedIO {
+	// I6: only shared-io frames may be CVM-shared. mem.Physical indexes the
+	// shared frames, so this visits those few rather than every frame.
+	phys.SharedFrames(func(f mem.Frame, meta mem.FrameMeta) {
+		if meta.Region != RegionSharedIO {
 			report(audit.SharedOutsideIO, f, "(%s, region %q) is CVM-shared", meta.Owner, meta.Region)
 		}
-	}
+	})
 
-	// I7: no monitor/PTP frame reachable from user space.
-	for f := range userMaps {
-		if mon.ptps[f] {
-			report(audit.PTPUserMapped, f, "mapped into user space")
+	// I7: no monitor/PTP frame reachable from user space. The census is
+	// sorted by frame, so each mapped frame is checked once.
+	for i, m := range sc.maps {
+		if i > 0 && sc.maps[i-1].frame == m.frame {
+			continue
 		}
-		if mon.monitorFrames[f] {
-			report(audit.MonitorFrameUserMapped, f, "mapped into user space")
+		if mon.ptps[m.frame] {
+			report(audit.PTPUserMapped, m.frame, "mapped into user space")
+		}
+		if mon.monitorFrames[m.frame] {
+			report(audit.MonitorFrameUserMapped, m.frame, "mapped into user space")
 		}
 	}
 
@@ -161,37 +153,26 @@ func (mon *Monitor) Audit() []audit.Violation {
 	// itself holds a baseline of 1 per frame. Anything else — a ref nobody
 	// accounts for, a writable PTE on a shared frame, a mapping in a
 	// non-sharer's address space — breaks the fork isolation argument.
-	sharers := make(map[mem.Frame]map[ASID]bool)
-	for _, sb := range mon.sandboxes {
-		if sb.destroyed || sb.template == 0 {
-			continue
-		}
-		for va := range sb.cowPages {
-			f := sb.confined[va]
-			if sharers[f] == nil {
-				sharers[f] = make(map[ASID]bool)
-			}
-			sharers[f][sb.asid] = true
-		}
-	}
+	sc.censusSharers(mon)
 	for f, tid := range mon.templateFrames {
 		refs, err := phys.RefCount(f)
 		if err != nil {
 			report(audit.CowRefcountMismatch, f, "template %d frame meta missing: %v", tid, err)
 			continue
 		}
-		want := uint32(1 + len(sharers[f]))
+		sharers := sc.sharersOf(f)
+		want := uint32(1 + len(sharers))
 		if refs != want {
 			report(audit.CowRefcountMismatch, f,
 				"template %d: refcount %d, want %d (baseline + %d live sharer(s))",
-				tid, refs, want, len(sharers[f]))
+				tid, refs, want, len(sharers))
 		}
-		for _, m := range userMaps[f] {
+		for _, m := range sc.mappingsOf(f) {
 			if m.pte.Is(paging.Writable) {
 				report(audit.CowWritableShared, f,
 					"template %d frame writable at %#x in AS %d", tid, m.va, m.asid)
 			}
-			if !sharers[f][m.asid] {
+			if !slices.ContainsFunc(sharers, func(s frameShare) bool { return s.asid == m.asid }) {
 				report(audit.CowForeignMapping, f,
 					"template %d frame mapped at %#x in AS %d, which holds no share", tid, m.va, m.asid)
 			}
@@ -209,14 +190,92 @@ func (mon *Monitor) Audit() []audit.Violation {
 	// Several sweeps above walk Go maps, whose iteration order is random;
 	// the watchdog's JSONL event log and metrics series must be
 	// byte-identical across runs, so fix a total order here.
-	sort.Slice(v, func(i, j int) bool {
-		if v[i].Code != v[j].Code {
-			return v[i].Code < v[j].Code
+	slices.SortFunc(v, func(a, b audit.Violation) int {
+		if c := cmp.Compare(a.Code, b.Code); c != 0 {
+			return c
 		}
-		if v[i].Frame != v[j].Frame {
-			return v[i].Frame < v[j].Frame
+		if c := cmp.Compare(a.Frame, b.Frame); c != 0 {
+			return c
 		}
-		return v[i].Detail < v[j].Detail
+		return strings.Compare(a.Detail, b.Detail)
 	})
 	return v
+}
+
+// auditScratch is the sweep's working memory, owned by the monitor and
+// reset (not reallocated) at every sweep, so a clean sweep allocates
+// nothing once the slices have grown to the tracked state's size.
+type auditScratch struct {
+	// maps is the user-mapping census: one entry per present user leaf
+	// across all address spaces, sorted by frame.
+	maps []userMapping
+	// shares lists each (template frame, live fork AS) share once, sorted
+	// by frame then ASID.
+	shares []frameShare
+}
+
+type userMapping struct {
+	frame mem.Frame
+	asid  ASID
+	va    paging.Addr
+	pte   paging.PTE
+}
+
+type frameShare struct {
+	frame mem.Frame
+	asid  ASID
+}
+
+func (sc *auditScratch) censusMappings(mon *Monitor) {
+	sc.maps = sc.maps[:0]
+	for asid, as := range mon.addrSpaces {
+		for va, f := range as.userFrames {
+			e, _, fault := as.tables.Walk(va)
+			if fault != nil {
+				continue
+			}
+			sc.maps = append(sc.maps, userMapping{f, asid, va, e})
+		}
+	}
+	slices.SortFunc(sc.maps, func(a, b userMapping) int { return cmp.Compare(a.frame, b.frame) })
+}
+
+// mappingsOf returns every census mapping of f.
+func (sc *auditScratch) mappingsOf(f mem.Frame) []userMapping {
+	return frameRun(sc.maps, f, func(m userMapping) mem.Frame { return m.frame })
+}
+
+func (sc *auditScratch) censusSharers(mon *Monitor) {
+	sc.shares = sc.shares[:0]
+	for _, sb := range mon.sandboxes {
+		if sb.destroyed || sb.template == 0 {
+			continue
+		}
+		for va := range sb.cowPages {
+			sc.shares = append(sc.shares, frameShare{sb.confined[va], sb.asid})
+		}
+	}
+	slices.SortFunc(sc.shares, func(a, b frameShare) int {
+		if c := cmp.Compare(a.frame, b.frame); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.asid, b.asid)
+	})
+	sc.shares = slices.Compact(sc.shares)
+}
+
+// sharersOf returns f's distinct live sharers.
+func (sc *auditScratch) sharersOf(f mem.Frame) []frameShare {
+	return frameRun(sc.shares, f, func(s frameShare) mem.Frame { return s.frame })
+}
+
+// frameRun returns the run of entries for frame f in s, which is sorted by
+// frame.
+func frameRun[T any](s []T, f mem.Frame, frameOf func(T) mem.Frame) []T {
+	i, _ := slices.BinarySearchFunc(s, f, func(e T, f mem.Frame) int { return cmp.Compare(frameOf(e), f) })
+	j := i
+	for j < len(s) && frameOf(s[j]) == f {
+		j++
+	}
+	return s[i:j]
 }

@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -271,10 +273,7 @@ func TestAuditPropertyUnderRandomOps(t *testing.T) {
 	prop := func(op uint8) bool {
 		f.step(op, t)
 		steps++
-		// Auditing every step is O(frames); sample it.
-		if steps%8 != 0 {
-			return true
-		}
+		// A sweep costs O(tracked state), not O(frames), so audit every step.
 		if v := mon.Audit(); len(v) != 0 {
 			t.Logf("violations after %d steps: %v", steps, v)
 			return false
@@ -286,5 +285,139 @@ func TestAuditPropertyUnderRandomOps(t *testing.T) {
 	}
 	if v := mon.Audit(); len(v) != 0 {
 		t.Fatalf("final violations: %v", v)
+	}
+}
+
+// TestAuditSharedOutsideIOFiresAndClears flips a general-pool frame
+// CVM-shared behind the monitor's MapGPA policy: I6 must report it with the
+// typed code and detail text, and stop reporting it once the frame is
+// private again — whether SetShared flips it back or Free releases it.
+func TestAuditSharedOutsideIOFiresAndClears(t *testing.T) {
+	mon := bootedMonitor(t)
+	phys := mon.M.Phys
+	io, err := phys.AllocRegion(RegionSharedIO, mem.OwnerDevice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := phys.SetShared(io, true); err != nil {
+		t.Fatal(err)
+	}
+	f, err := phys.Alloc(mem.OwnerKernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := mon.Audit(); len(v) != 0 {
+		t.Fatalf("a shared shared-io frame is legal, got %v", v)
+	}
+	want := audit.Violation{Code: audit.SharedOutsideIO, Frame: f, Detail: `(kernel, region "") is CVM-shared`}
+	for _, clear := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"set-private", func() error { return phys.SetShared(f, false) }},
+		{"free", func() error { return phys.Free(f) }},
+	} {
+		if err := phys.SetShared(f, true); err != nil {
+			t.Fatal(err)
+		}
+		if v := mon.Audit(); len(v) != 1 || v[0] != want {
+			t.Fatalf("before %s: got %v, want [%v]", clear.name, v, want)
+		}
+		if err := clear.fn(); err != nil {
+			t.Fatal(err)
+		}
+		if v := mon.Audit(); len(v) != 0 {
+			t.Fatalf("after %s: violations remain: %v", clear.name, v)
+		}
+	}
+}
+
+// TestAuditCensusViolationsExact breaks every invariant that reads the
+// per-sweep mapping and sharer censuses (I4, I5, I7, I9) in one world and
+// pins the complete violation list — codes, frames, detail text and order.
+func TestAuditCensusViolationsExact(t *testing.T) {
+	mon := bootedMonitor(t)
+	c := mon.M.Cores[0]
+	minFrame := func(set map[mem.Frame]bool, skip map[mem.Frame]bool) mem.Frame {
+		best := mem.NoFrame
+		for f := range set {
+			if !skip[f] && f < best {
+				best = f
+			}
+		}
+		return best
+	}
+
+	// Two live forks share a two-page template; the first has faulted in
+	// the shared read-only leaf of page 0.
+	tid := makeTemplate(t, mon, 2)
+	_, fork := forkOne(t, mon, tid, mem.OwnerTaskBase+1)
+	forkOne(t, mon, tid, mem.OwnerTaskBase+2)
+	if err := mon.readSandbox(mon.sandboxes[fork], snapBase, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	tf0, tf1 := mon.templates[tid].frames[0], mon.templates[tid].frames[1]
+
+	// A sandbox with one faulted-in confined page and a sealed common.
+	asid3, err := mon.EMCCreateAS(c, mem.OwnerTaskBase+3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb3, err := mon.EMCCreateSandbox(c, asid3, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.EMCDeclareConfined(c, sb3, 0x2000_0000, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.EMCMapSandboxFault(c, asid3, 0x2000_0000, true); err != nil {
+		t.Fatal(err)
+	}
+	cf := mon.sandboxes[sb3].confined[0x2000_0000]
+	if err := mon.EMCCommonCreate(c, "lib", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.EMCCommonAttach(c, sb3, "lib", 0x4000_0000, false); err != nil {
+		t.Fatal(err)
+	}
+	mon.sealCommons(c, mon.sandboxes[sb3])
+	common := mon.commons["lib"].frames[0]
+	auditClean(t, mon, "before tampering")
+
+	// Tamper: map each protected frame into a foreign address space behind
+	// the monitor's back (the PTP twice), and leak a template reference.
+	asid2, err := mon.EMCCreateAS(c, mem.OwnerTaskBase+4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptp := minFrame(mon.ptps, nil)
+	mf := minFrame(mon.monitorFrames, mon.ptps)
+	as2 := mon.addrSpaces[asid2]
+	va := func(i int) paging.Addr { return paging.Addr(0x3000_0000 + i*mem.PageSize) }
+	for i, m := range []struct {
+		f        mem.Frame
+		writable bool
+	}{{cf, false}, {common, true}, {ptp, false}, {ptp, false}, {mf, false}, {tf0, true}} {
+		if err := as2.tables.Map(va(i), leafFor(m.f, MapFlags{Writable: m.writable})); err != nil {
+			t.Fatal(err)
+		}
+		as2.userFrames[va(i)] = m.f
+	}
+	if err := mon.M.Phys.IncRef(tf1); err != nil {
+		t.Fatal(err)
+	}
+
+	want := []audit.Violation{
+		{Code: audit.ConfinedMultiMapped, Frame: cf, Detail: "mapped 2 times"},
+		{Code: audit.ConfinedForeignMapping, Frame: cf, Detail: fmt.Sprintf("mapped outside sandbox %d's address space (AS %d)", sb3, asid2)},
+		{Code: audit.SealedWritable, Frame: common, Detail: fmt.Sprintf("sealed region \"lib\" writable at %#x in AS %d", va(1), asid2)},
+		{Code: audit.PTPUserMapped, Frame: ptp, Detail: "mapped into user space"},
+		{Code: audit.MonitorFrameUserMapped, Frame: mf, Detail: "mapped into user space"},
+		{Code: audit.CowRefcountMismatch, Frame: tf1, Detail: fmt.Sprintf("template %d: refcount 4, want 3 (baseline + 2 live sharer(s))", tid)},
+		{Code: audit.CowWritableShared, Frame: tf0, Detail: fmt.Sprintf("template %d frame writable at %#x in AS %d", tid, va(5), asid2)},
+		{Code: audit.CowForeignMapping, Frame: tf0, Detail: fmt.Sprintf("template %d frame mapped at %#x in AS %d, which holds no share", tid, va(5), asid2)},
+	}
+	if got := mon.Audit(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("violations:\n got %v\nwant %v", got, want)
 	}
 }

@@ -533,16 +533,15 @@ func (t *mmuTxn) rollback(failedVA paging.Addr) {
 	// empty again: release it so a failed transaction consumes no PTP
 	// frames. Pre-existing tables are refused and left in place.
 	if len(t.newPTPs) > 0 {
-		release := func(f mem.Frame) bool {
-			if !t.newPTPs[f] {
-				return false
-			}
-			mon.freePTP(f)
-			mon.pteWrite(1) // the cleared parent entry
-			return true
-		}
 		for _, va := range vas {
-			_ = as.tables.Prune(va, release)
+			_ = as.tables.Prune(va, func(f mem.Frame) bool {
+				if !t.newPTPs[f] {
+					return false
+				}
+				mon.freePTP(f, va)
+				mon.pteWrite(1) // the cleared parent entry
+				return true
+			})
 		}
 	}
 	// Another core may have walked the tables mid-commit and cached the

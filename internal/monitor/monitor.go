@@ -158,6 +158,9 @@ type Monitor struct {
 	// to have it mapped (single-mapping policy, §6.1).
 	confinedOwner map[mem.Frame]SandboxID
 
+	// auditScratch is Audit's reusable census memory.
+	auditScratch auditScratch
+
 	// Kernel-registered callbacks (through EMC SetVector/SetSyscallEntry).
 	kernelVectors [256]cpu.Handler
 	kernelSyscall func(c *cpu.Core, t *cpu.Trap)
@@ -377,15 +380,18 @@ func (mon *Monitor) allocPTP() (mem.Frame, error) {
 	return f, nil
 }
 
-// freePTP returns a page-table page to the monitor pool (batched-map
-// rollback). The frame is deregistered, loses its PTP key in the direct map,
-// and goes back to the reserved region it came from.
-func (mon *Monitor) freePTP(f mem.Frame) {
+// freePTP returns a page-table page to the monitor pool (MMU transaction
+// rollback); va is the user address whose table path it served. The frame
+// is deregistered, loses its PTP key in the direct map, and goes back to
+// the reserved region it came from.
+func (mon *Monitor) freePTP(f mem.Frame, va paging.Addr) {
 	delete(mon.ptps, f)
 	if mon.dirmapReady {
 		mon.keyDirectMap(f, KeyDefault)
 	}
-	_ = mon.M.Phys.Free(f)
+	if err := mon.M.Phys.Free(f); err != nil {
+		mon.recordViolation("free page-table page %d (path of va %#x): %v", f, va, err)
+	}
 }
 
 // DirectMapAddr is the kernel-virtual address of a physical frame.

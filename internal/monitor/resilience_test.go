@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -78,5 +79,25 @@ func TestSandboxKilledOnUnhandleableTransition(t *testing.T) {
 	}
 	if mon.Stats.RuntimeViolations == 0 {
 		t.Fatal("no violation recorded")
+	}
+}
+
+// A confined frame released behind the monitor's back makes the session-end
+// teardown's own Free fail. That error must be recorded, once, naming the
+// frame — never silently dropped.
+func TestSandboxEndReportsTeardownError(t *testing.T) {
+	mon, sb, frame := confinedSandbox(t)
+	if err := mon.M.Phys.Free(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.EMCSandboxEnd(mon.M.Cores[0], sb); err != nil {
+		t.Fatal(err)
+	}
+	vs := mon.RuntimeViolations()
+	if len(vs) != 1 || !strings.Contains(vs[0], fmt.Sprintf("frame %d ", frame)) {
+		t.Fatalf("violation log = %q, want one entry naming frame %d", vs, frame)
+	}
+	if mon.Stats.RuntimeViolations != 1 {
+		t.Fatalf("RuntimeViolations = %d, want 1", mon.Stats.RuntimeViolations)
 	}
 }

@@ -1,8 +1,10 @@
 package monitor
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
@@ -497,6 +499,16 @@ func (mon *Monitor) endSandboxLocked(c *cpu.Core, sb *sbState, reason string) {
 	mon.scrubSandbox(sb)
 	mon.retireChannel(sb)
 	as := mon.addrSpaces[sb.asid]
+	// A failed step leaves a frame the monitor can no longer account for;
+	// each one is recorded, in VA order so the record is deterministic
+	// (the loop below walks a map).
+	type teardownFault struct {
+		va   paging.Addr
+		f    mem.Frame
+		step string
+		err  error
+	}
+	var faults []teardownFault
 	for va, f := range sb.confined {
 		// Pages still CoW-shared with a template are not this sandbox's to
 		// free — or even to unmap here: most were never installed (the fork
@@ -508,13 +520,23 @@ func (mon *Monitor) endSandboxLocked(c *cpu.Core, sb *sbState, reason string) {
 			continue
 		}
 		if as != nil {
-			_ = as.tables.Unmap(va)
+			if err := as.tables.Unmap(va); err != nil {
+				faults = append(faults, teardownFault{va, f, "unmap", err})
+			}
 			delete(as.userFrames, va)
 			mon.pteWrite(1)
 		}
 		delete(mon.confinedOwner, f)
-		_ = mon.M.Phys.SetPinned(f, false)
-		_ = mon.M.Phys.Free(f)
+		if err := mon.M.Phys.SetPinned(f, false); err != nil {
+			faults = append(faults, teardownFault{va, f, "unpin", err})
+		}
+		if err := mon.M.Phys.Free(f); err != nil {
+			faults = append(faults, teardownFault{va, f, "free", err})
+		}
+	}
+	slices.SortStableFunc(faults, func(a, b teardownFault) int { return cmp.Compare(a.va, b.va) })
+	for _, tf := range faults {
+		mon.recordViolation("sandbox-end %d: %s of frame %d at va %#x: %v", sb.id, tf.step, tf.f, tf.va, tf.err)
 	}
 	mon.releaseCowLocked(sb)
 	// The confined frames are free for reallocation the moment this
