@@ -158,7 +158,7 @@ func (w *Workload) Run(ctx *workloads.Ctx) []byte {
 		// Conv1 (same padding) + ReLU.
 		for f := 0; f < C1; f++ {
 			kr := conv1[f*K*K : (f+1)*K*K]
-			convolve(img, ImgW, ImgH, kr, a1[f*ImgW*ImgH:])
+			convolveInto(img, ImgW, ImgH, kr, a1[f*ImgW*ImgH:], false)
 		}
 		flops += C1 * ImgW * ImgH * K * K * 2
 		relu(a1)
@@ -175,7 +175,7 @@ func (w *Workload) Run(ctx *workloads.Ctx) []byte {
 			}
 			for cch := 0; cch < C1; cch++ {
 				kr := conv2[(f*C1+cch)*K*K : (f*C1+cch+1)*K*K]
-				convolveAcc(p1[cch*w2*h2:], w2, h2, kr, dst)
+				convolveInto(p1[cch*w2*h2:], w2, h2, kr, dst, true)
 			}
 		}
 		flops += C2 * C1 * w2 * h2 * K * K * 2
@@ -199,38 +199,79 @@ func (w *Workload) Run(ctx *workloads.Ctx) []byte {
 	return []byte(fmt.Sprintf("images=%d detections=%d grid=%s", n, total, report))
 }
 
-func convolve(src []float32, w, h int, k []float32, dst []float32) {
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var s float32
-			for ky := 0; ky < K; ky++ {
-				for kx := 0; kx < K; kx++ {
-					sy, sx := y+ky-1, x+kx-1
-					if sy >= 0 && sy < h && sx >= 0 && sx < w {
-						s += src[sy*w+sx] * k[ky*K+kx]
-					}
-				}
-			}
-			dst[y*w+x] = s
+// convolveInto computes the same-padded 3x3 convolution of the w x h image
+// src with kernel k, writing it to dst (acc false) or adding it to dst (acc
+// true). Border pixels skip the taps that fall outside the image. Interior
+// pixels read three row slices with the nine taps hoisted; they add the
+// nine products in the same (ky, kx) order as the border loop, so every
+// output is the float32 the plain triple loop computes.
+func convolveInto(src []float32, w, h int, k []float32, dst []float32, acc bool) {
+	put := func(i int, s float32) {
+		if acc {
+			dst[i] += s
+		} else {
+			dst[i] = s
 		}
+	}
+	if w < 3 || h < 3 {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				put(y*w+x, convolveAt(src, w, h, k, x, y))
+			}
+		}
+		return
+	}
+	for x := 0; x < w; x++ {
+		put(x, convolveAt(src, w, h, k, x, 0))
+	}
+	k0, k1, k2 := k[0], k[1], k[2]
+	k3, k4, k5 := k[3], k[4], k[5]
+	k6, k7, k8 := k[6], k[7], k[8]
+	for y := 1; y < h-1; y++ {
+		put(y*w, convolveAt(src, w, h, k, 0, y))
+		// Each tap column is its own slice of len(o), so the compiler
+		// drops every per-tap bounds check.
+		o := dst[y*w+1:][:w-2]
+		up, mid, dn := src[(y-1)*w:], src[y*w:], src[(y+1)*w:]
+		u0, u1, u2 := up[:len(o)], up[1:][:len(o)], up[2:][:len(o)]
+		m0, m1, m2 := mid[:len(o)], mid[1:][:len(o)], mid[2:][:len(o)]
+		d0, d1, d2 := dn[:len(o)], dn[1:][:len(o)], dn[2:][:len(o)]
+		for x := range o {
+			var s float32
+			s += u0[x] * k0
+			s += u1[x] * k1
+			s += u2[x] * k2
+			s += m0[x] * k3
+			s += m1[x] * k4
+			s += m2[x] * k5
+			s += d0[x] * k6
+			s += d1[x] * k7
+			s += d2[x] * k8
+			if acc {
+				o[x] += s
+			} else {
+				o[x] = s
+			}
+		}
+		put(y*w+w-1, convolveAt(src, w, h, k, w-1, y))
+	}
+	for x := 0; x < w; x++ {
+		put((h-1)*w+x, convolveAt(src, w, h, k, x, h-1))
 	}
 }
 
-func convolveAcc(src []float32, w, h int, k []float32, dst []float32) {
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var s float32
-			for ky := 0; ky < K; ky++ {
-				for kx := 0; kx < K; kx++ {
-					sy, sx := y+ky-1, x+kx-1
-					if sy >= 0 && sy < h && sx >= 0 && sx < w {
-						s += src[sy*w+sx] * k[ky*K+kx]
-					}
-				}
+// convolveAt is the bounded 3x3 convolution sum at pixel (x, y).
+func convolveAt(src []float32, w, h int, k []float32, x, y int) float32 {
+	var s float32
+	for ky := 0; ky < K; ky++ {
+		for kx := 0; kx < K; kx++ {
+			sy, sx := y+ky-1, x+kx-1
+			if sy >= 0 && sy < h && sx >= 0 && sx < w {
+				s += src[sy*w+sx] * k[ky*K+kx]
 			}
-			dst[y*w+x] += s
 		}
 	}
+	return s
 }
 
 func relu(x []float32) {
@@ -316,14 +357,9 @@ func classify(model *workloads.View, feat []float32) int {
 	for i := 0; i < FCIn && i < len(feat); i++ {
 		in[i] = feat[i*len(feat)/FCIn]
 	}
-	row := make([]float32, FCIn)
 	best, bi := float32(-1e30), 0
 	for o := 0; o < FCOut; o++ {
-		model.F32Row((offFC()+o*FCIn)*4, row)
-		var s float32
-		for i := 0; i < FCIn; i++ {
-			s += row[i] * in[i]
-		}
+		s := model.Dot((offFC()+o*FCIn)*4, in[:])
 		if s > best {
 			best, bi = s, o
 		}

@@ -3,7 +3,11 @@ package imgproc
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"testing"
+
+	"github.com/asterisc-release/erebor-go/internal/workloads"
 )
 
 func TestBuildImagesFormat(t *testing.T) {
@@ -51,16 +55,16 @@ func TestConvolveIdentityKernel(t *testing.T) {
 	// Identity kernel: center 1.
 	k := []float32{0, 0, 0, 0, 1, 0, 0, 0, 0}
 	dst := make([]float32, w*h)
-	convolve(src, w, h, k, dst)
+	convolveInto(src, w, h, k, dst, false)
 	for i := range src {
 		if dst[i] != src[i] {
 			t.Fatalf("identity convolution changed pixel %d", i)
 		}
 	}
-	// convolveAcc accumulates.
-	convolveAcc(src, w, h, k, dst)
+	// The acc mode accumulates.
+	convolveInto(src, w, h, k, dst, true)
 	if dst[10] != 2*src[10] {
-		t.Fatal("convolveAcc did not accumulate")
+		t.Fatal("convolveInto(acc) did not accumulate")
 	}
 }
 
@@ -121,5 +125,82 @@ func TestScoreAndNMSSuppressesNeighbors(t *testing.T) {
 	}
 	if dets > Cells*Cells/4 {
 		t.Fatalf("NMS failed to suppress: %d detections", dets)
+	}
+}
+
+// convolveRef is the plain same-padded 3x3 triple loop convolveInto must
+// reproduce bit for bit.
+func convolveRef(src []float32, w, h int, k []float32, dst []float32, acc bool) {
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			var s float32
+			for ky := 0; ky < K; ky++ {
+				for kx := 0; kx < K; kx++ {
+					sy, sx := y+ky-1, x+kx-1
+					if sy >= 0 && sy < h && sx >= 0 && sx < w {
+						s += src[sy*w+sx] * k[ky*K+kx]
+					}
+				}
+			}
+			if acc {
+				dst[y*w+x] += s
+			} else {
+				dst[y*w+x] = s
+			}
+		}
+	}
+}
+
+func randFloats(r *workloads.Rng, n int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = r.Normal(1)
+	}
+	return out
+}
+
+func TestConvolveIntoMatchesReference(t *testing.T) {
+	type size struct{ w, h int }
+	var sizes []size
+	for _, w := range []int{1, 2, 3, 5} {
+		for _, h := range []int{1, 2, 3, 7} {
+			sizes = append(sizes, size{w, h})
+		}
+	}
+	sizes = append(sizes, size{64, 64}, size{32, 32})
+	r := workloads.NewRng(15)
+	for _, sz := range sizes {
+		for _, acc := range []bool{false, true} {
+			src := randFloats(r, sz.w*sz.h)
+			k := randFloats(r, K*K)
+			init := randFloats(r, sz.w*sz.h)
+			got := append([]float32(nil), init...)
+			want := append([]float32(nil), init...)
+			convolveInto(src, sz.w, sz.h, k, got, acc)
+			convolveRef(src, sz.w, sz.h, k, want, acc)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%dx%d acc=%v pixel %d: %x, reference %x", sz.w, sz.h, acc, i,
+						math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkConvolve(b *testing.B) {
+	for _, n := range []int{32, 64} {
+		r := workloads.NewRng(1)
+		src, k, dst := randFloats(r, n*n), randFloats(r, K*K), make([]float32, n*n)
+		b.Run(fmt.Sprintf("%dx%d/reference", n, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				convolveRef(src, n, n, k, dst, true)
+			}
+		})
+		b.Run(fmt.Sprintf("%dx%d/fast", n, n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				convolveInto(src, n, n, k, dst, true)
+			}
+		})
 	}
 }

@@ -221,12 +221,7 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 			qh := s.q[h*HeadDim : (h+1)*HeadDim]
 			for t := 0; t <= pos; t++ {
 				koff := (l*m.MaxSeq+t)*2*Dim*4 + h*HeadDim*4
-				s.kv.F32Row(koff, s.row[:HeadDim])
-				var dot float32
-				for i := 0; i < HeadDim; i++ {
-					dot += qh[i] * s.row[i]
-				}
-				s.att[t] = dot / float32(math.Sqrt(HeadDim))
+				s.att[t] = s.kv.Dot(koff, qh) / float32(math.Sqrt(HeadDim))
 			}
 			softmax(s.att[:pos+1])
 			for i := range qh {
@@ -267,12 +262,7 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 	s.model.F32Row(m.finalNorm()*4, s.row[:Dim])
 	rmsnorm(s.xb, s.x, s.row[:Dim])
 	for v := 0; v < Vocab; v++ {
-		s.model.F32Row((m.tokEmb()+v*Dim)*4, s.row[:Dim])
-		var dot float32
-		for i := 0; i < Dim; i++ {
-			dot += s.row[i] * s.xb[i]
-		}
-		logits[v] = dot
+		logits[v] = s.model.Dot((m.tokEmb()+v*Dim)*4, s.xb)
 	}
 	flops += 2 * Vocab * Dim
 
@@ -295,23 +285,13 @@ func (s *state) matvec(out []float32, wOff int, x []float32, rows, cols int) {
 
 func (s *state) matvecHidden(out []float32, wOff int, x []float32) {
 	for r := 0; r < Hidden; r++ {
-		s.model.F32Row((wOff+r*Dim)*4, s.row[:Dim])
-		var dot float32
-		for i := 0; i < Dim; i++ {
-			dot += s.row[i] * x[i]
-		}
-		out[r] = dot
+		out[r] = s.model.Dot((wOff+r*Dim)*4, x[:Dim])
 	}
 }
 
 func (s *state) matvecFromHidden(out []float32, wOff int, h []float32) {
 	for r := 0; r < Dim; r++ {
-		s.model.F32Row((wOff+r*Hidden)*4, s.row[:Hidden])
-		var dot float32
-		for i := 0; i < Hidden; i++ {
-			dot += s.row[i] * h[i]
-		}
-		out[r] = dot
+		out[r] = s.model.Dot((wOff+r*Hidden)*4, h[:Hidden])
 	}
 }
 

@@ -153,39 +153,90 @@ func (v *View) F32(off int) float32 {
 	return f32frombits(v.U32(off))
 }
 
-// F32Row copies n float32s starting at offset off into dst (row-major
-// weight rows; spans pages).
+// F32Row copies len(dst) float32s starting at offset off into dst
+// (row-major weight rows; spans pages).
 func (v *View) F32Row(off int, dst []float32) {
 	a := int(v.Base&0xFFF) + off
-	need := len(dst) * 4
-	di := 0
-	for need > 0 {
-		p, o := a/mem.PageSize, a%mem.PageSize
-		pg := v.page(p)
-		avail := mem.PageSize - o
-		if avail > need {
-			avail = need
+	for len(dst) > 0 {
+		src := v.run(a, len(dst))
+		a += len(src)
+		// Fixed-size windows keep the decode free of per-element bounds
+		// checks.
+		for len(src) >= 16 && len(dst) >= 4 {
+			s, d := src[:16:16], dst[:4:4]
+			d[0] = le32f(s[0:4])
+			d[1] = le32f(s[4:8])
+			d[2] = le32f(s[8:12])
+			d[3] = le32f(s[12:16])
+			src, dst = src[16:], dst[4:]
 		}
-		// Whole float32s available in this page chunk.
-		for j := 0; j+4 <= avail; j += 4 {
-			dst[di] = f32frombits(binary.LittleEndian.Uint32(pg[o+j:]))
-			di++
+		for len(src) >= 4 && len(dst) >= 1 {
+			dst[0] = le32f(src[:4])
+			src, dst = src[4:], dst[1:]
 		}
-		rem := avail % 4
-		if rem != 0 {
-			// Straddling float: assemble byte-wise.
-			var b [4]byte
-			for j := 0; j < 4; j++ {
-				aa := a + (avail - rem) + j
-				b[j] = v.page(aa / mem.PageSize)[aa%mem.PageSize]
-			}
-			dst[di] = f32frombits(binary.LittleEndian.Uint32(b[:]))
-			di++
-			avail = (avail - rem) + 4
+		if len(dst) > 0 && a%mem.PageSize != 0 {
+			dst[0] = v.straddled(a)
+			dst, a = dst[1:], a+4
 		}
-		a += avail
-		need -= avail
 	}
+}
+
+// Dot returns the dot product of the len(x) float32s starting at offset off
+// with x, decoded straight from the page bytes. It multiplies and adds in
+// index order, so the result is bit-identical to F32Row into a scratch row
+// followed by `dot += row[i] * x[i]` for i = 0, 1, ...
+func (v *View) Dot(off int, x []float32) float32 {
+	a := int(v.Base&0xFFF) + off
+	var dot float32
+	for len(x) > 0 {
+		src := v.run(a, len(x))
+		a += len(src)
+		for len(src) >= 16 && len(x) >= 4 {
+			s, xs := src[:16:16], x[:4:4]
+			dot += le32f(s[0:4]) * xs[0]
+			dot += le32f(s[4:8]) * xs[1]
+			dot += le32f(s[8:12]) * xs[2]
+			dot += le32f(s[12:16]) * xs[3]
+			src, x = src[16:], x[4:]
+		}
+		for len(src) >= 4 && len(x) >= 1 {
+			dot += le32f(src[:4]) * x[0]
+			src, x = src[4:], x[1:]
+		}
+		if len(x) > 0 && a%mem.PageSize != 0 {
+			dot += v.straddled(a) * x[0]
+			x, a = x[1:], a+4
+		}
+	}
+	return dot
+}
+
+// run returns the bytes of the whole float32s, at most n of them, that
+// start at in-view address a and end inside a's page. Its length is a
+// multiple of 4; it is empty when a float straddles the page boundary at a.
+func (v *View) run(a, n int) []byte {
+	o := a % mem.PageSize
+	avail := (mem.PageSize - o) &^ 3
+	if avail > 4*n {
+		avail = 4 * n
+	}
+	return v.page(a / mem.PageSize)[o : o+avail]
+}
+
+// straddled decodes the float32 at in-view address a whose bytes span a
+// page boundary.
+func (v *View) straddled(a int) float32 {
+	var b [4]byte
+	for j := range b {
+		aa := a + j
+		b[j] = v.page(aa / mem.PageSize)[aa%mem.PageSize]
+	}
+	return le32f(b[:])
+}
+
+// le32f decodes the little-endian float32 in b[:4].
+func le32f(b []byte) float32 {
+	return f32frombits(binary.LittleEndian.Uint32(b))
 }
 
 // CopyOut copies n bytes at offset off into dst.
