@@ -176,6 +176,28 @@ func TestPadUnpadProperty(t *testing.T) {
 	}
 }
 
+// TestSealAtInPlace pins the single-buffer record path: sealing in the
+// padded record's own storage yields the same ciphertext as sealing into a
+// fresh buffer, and costs only the record and nonce allocations.
+func TestSealAtInPlace(t *testing.T) {
+	key := bytes.Repeat([]byte{7}, 32)
+	c, err := NewConn(nil, key, key, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 59, 60, 61, 1000} {
+		msg := bytes.Repeat([]byte{byte(n)}, n)
+		want := c.sealKey.Seal(nil, nonceFor(9), append([]byte(nil), pad(msg, 64)...), nil)
+		if got := c.sealAt(9, msg); !bytes.Equal(got, want) {
+			t.Fatalf("len %d: in-place ciphertext differs", n)
+		}
+	}
+	msg := make([]byte, 1000)
+	if a := testing.AllocsPerRun(50, func() { c.sealAt(3, msg) }); a > 2 {
+		t.Fatalf("sealAt allocates %.0f times, want at most 2 (record + nonce)", a)
+	}
+}
+
 func TestHKDFDeterministicAndDirectional(t *testing.T) {
 	c1, s1 := DeriveKeys([]byte("shared"), []byte("transcript"))
 	c2, s2 := DeriveKeys([]byte("shared"), []byte("transcript"))
