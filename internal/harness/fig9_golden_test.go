@@ -20,7 +20,7 @@ import (
 // A host-side optimization of the workload kernels must leave it unchanged:
 // the kernels charge their cycles analytically, so only a change in what the
 // programs compute (or in the modeled system) may move it.
-const fig9GoldenDigest = "2467d47fbefe4a32f5cba061a32f6d613d8e84a949a426bf6802beac16f7595e"
+const fig9GoldenDigest = "68eb916dd70a816888c2a3c1b0c3828bf5f710b831ec36bf9467e4d59b4ffee8"
 
 // fig9Signature renders everything the modeled system decided in one run, in
 // the same fields the perfbench determinism check compares.

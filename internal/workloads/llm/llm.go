@@ -136,8 +136,8 @@ type state struct {
 
 	// Go-side activation scratch (the real llama.cpp keeps activations in
 	// registers/stack; costs are charged through Charge).
-	x, xb, q, att, ffn1 []float32
-	row                 []float32
+	x, xb, q, kvb, att, ffn1 []float32
+	row                      []float32
 }
 
 // Run implements workloads.Workload: prompt ingestion + greedy generation.
@@ -152,9 +152,10 @@ func (w *Workload) Run(ctx *workloads.Ctx) []byte {
 		x:     make([]float32, Dim),
 		xb:    make([]float32, Dim),
 		q:     make([]float32, Dim),
+		kvb:   make([]float32, Dim),
 		att:   make([]float32, m.MaxSeq),
 		ffn1:  make([]float32, Hidden),
-		row:   make([]float32, Dim*4),
+		row:   make([]float32, Dim),
 	}
 	s.kv.Touch() // confined memory is pre-mapped; build the window cache
 
@@ -209,11 +210,11 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 		rmsnorm(s.xb, s.x, s.row[:Dim])
 
 		kvOff := (l*m.MaxSeq + pos) * 2 * Dim * 4
-		s.matvec(s.q, base+offWQ, s.xb, Dim, Dim)
-		s.matvec(s.row[:Dim], base+offWK, s.xb, Dim, Dim)
-		s.kv.CopyIn(kvOff, workloads.F32Bytes(s.row[:Dim]))
-		s.matvec(s.row[:Dim], base+offWV, s.xb, Dim, Dim)
-		s.kv.CopyIn(kvOff+Dim*4, workloads.F32Bytes(s.row[:Dim]))
+		s.matvec(s.q, base+offWQ, s.xb)
+		s.matvec(s.kvb, base+offWK, s.xb)
+		s.kv.CopyIn(kvOff, workloads.F32Bytes(s.kvb))
+		s.matvec(s.kvb, base+offWV, s.xb)
+		s.kv.CopyIn(kvOff+Dim*4, workloads.F32Bytes(s.kvb))
 		flops += 3 * 2 * Dim * Dim
 
 		// Multi-head attention over the cache.
@@ -237,7 +238,7 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 			}
 			flops += 4 * (pos + 1) * HeadDim
 		}
-		s.matvec(s.xb, base+offWO, s.q, Dim, Dim)
+		s.matvec(s.xb, base+offWO, s.q)
 		for i := 0; i < Dim; i++ {
 			s.x[i] += s.xb[i]
 		}
@@ -246,11 +247,11 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 		// FFN block: RMSNorm -> W1 -> SiLU -> W2 -> residual.
 		s.model.F32Row((base+offFFNNorm)*4, s.row[:Dim])
 		rmsnorm(s.xb, s.x, s.row[:Dim])
-		s.matvecHidden(s.ffn1, base+offW1, s.xb)
+		s.matvec(s.ffn1, base+offW1, s.xb)
 		for i := range s.ffn1 {
 			s.ffn1[i] = silu(s.ffn1[i])
 		}
-		s.matvecFromHidden(s.xb, base+offW2, s.ffn1)
+		s.matvec(s.xb, base+offW2, s.ffn1)
 		for i := 0; i < Dim; i++ {
 			s.x[i] += s.xb[i]
 		}
@@ -271,27 +272,11 @@ func (s *state) forward(tok int, logits *[Vocab]float32) {
 	s.seqLen++
 }
 
-// matvec computes out = W x for a rows x cols weight at float-offset wOff.
-func (s *state) matvec(out []float32, wOff int, x []float32, rows, cols int) {
-	for r := 0; r < rows; r++ {
-		s.model.F32Row((wOff+r*cols)*4, s.row[:cols])
-		var dot float32
-		for i := 0; i < cols; i++ {
-			dot += s.row[i] * x[i]
-		}
-		out[r] = dot
-	}
-}
-
-func (s *state) matvecHidden(out []float32, wOff int, x []float32) {
-	for r := 0; r < Hidden; r++ {
-		out[r] = s.model.Dot((wOff+r*Dim)*4, x[:Dim])
-	}
-}
-
-func (s *state) matvecFromHidden(out []float32, wOff int, h []float32) {
-	for r := 0; r < Dim; r++ {
-		out[r] = s.model.Dot((wOff+r*Hidden)*4, h[:Hidden])
+// matvec computes out = W x for the len(out) x len(x) row-major weight at
+// float-offset wOff.
+func (s *state) matvec(out []float32, wOff int, x []float32) {
+	for r := range out {
+		out[r] = s.model.Dot((wOff+r*len(x))*4, x)
 	}
 }
 
