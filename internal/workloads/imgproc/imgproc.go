@@ -201,10 +201,11 @@ func (w *Workload) Run(ctx *workloads.Ctx) []byte {
 
 // convolveInto computes the same-padded 3x3 convolution of the w x h image
 // src with kernel k, writing it to dst (acc false) or adding it to dst (acc
-// true). Border pixels skip the taps that fall outside the image. Interior
-// pixels read three row slices with the nine taps hoisted; they add the
-// nine products in the same (ky, kx) order as the border loop, so every
-// output is the float32 the plain triple loop computes.
+// true). Border pixels, and every pixel of an image narrower or shorter
+// than 3, skip the taps that fall outside the image. Interior pixels read
+// nine pre-sliced tap columns with the taps hoisted; they add the nine
+// products in the same (ky, kx) order as the border loop, so every output
+// is the float32 the plain triple loop computes.
 func convolveInto(src []float32, w, h int, k []float32, dst []float32, acc bool) {
 	put := func(i int, s float32) {
 		if acc {
