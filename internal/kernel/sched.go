@@ -504,8 +504,12 @@ func (k *Kernel) handlePageFault(c *cpu.Core, tr *cpu.Trap, cur *Task) {
 	if vma.Backing != nil {
 		// File-backed fault: fill the page from the backing store.
 		off := vma.BackingOff + int(va-vma.Start)
-		b, _ := k.M.Phys.Bytes(f)
 		if off < len(vma.Backing.Data) {
+			b, err := k.M.Phys.Bytes(f)
+			if err != nil {
+				cur.exitLocked(137, err.Error())
+				return
+			}
 			n := copy(b, vma.Backing.Data[off:])
 			k.M.Clock.Charge(costs.Copy(n))
 		}

@@ -389,9 +389,9 @@ func (k *Kernel) sysFork(c *cpu.Core, t *Task) uint64 {
 			if err != nil {
 				return abi.Errno(abi.ENOMEMNo)
 			}
-			sb, _ := k.M.Phys.Bytes(src)
-			db, _ := k.M.Phys.Bytes(dst)
-			copy(db, sb)
+			if err := k.M.Phys.CopyFrame(dst, src); err != nil {
+				return abi.Errno(abi.EFAULTNo)
+			}
 			k.M.Clock.Charge(costs.Copy(mem.PageSize))
 			batch = append(batch, monitor.MapReq{
 				VA: p, Frame: dst,

@@ -101,10 +101,15 @@ type Region struct {
 // Free frames remaining in the region.
 func (r *Region) Free() int { return len(r.pool) }
 
-// Physical is the machine's physical memory.
+// Physical is the machine's physical memory. Frame contents are backed
+// lazily: a frame gets its 4 KiB of host memory the first time something
+// writes it (or asks for a writable view with Bytes). Until then it reads as
+// zero, so a CVM pays host memory only for the pages it touches. Backing is
+// never dropped while the Physical lives, so a freed frame keeps its bytes
+// for the next owner exactly as real memory does.
 type Physical struct {
 	nframes uint64
-	data    []byte
+	frames  []*[PageSize]byte // nil: never written, reads as zero
 	meta    []FrameMeta
 
 	free    []Frame // general-pool free list (LIFO)
@@ -130,7 +135,7 @@ func NewPhysical(size uint64) *Physical {
 	}
 	p := &Physical{
 		nframes: n,
-		data:    make([]byte, n*PageSize),
+		frames:  make([]*[PageSize]byte, n),
 		meta:    make([]FrameMeta, n),
 		regions: make(map[string]*Region),
 	}
@@ -322,30 +327,52 @@ func (p *Physical) SharedFrames(fn func(Frame, FrameMeta)) {
 	}
 }
 
-// Bytes returns the backing slice of one frame. The slice aliases the
-// simulation's physical memory: writes through it are real.
+// Bytes returns the backing slice of one frame, backing it first if it
+// never was. The slice aliases the simulation's physical memory: writes
+// through it are real.
 func (p *Physical) Bytes(f Frame) ([]byte, error) {
 	if err := p.check(f); err != nil {
 		return nil, err
 	}
-	off := uint64(f) * PageSize
-	return p.data[off : off+PageSize : off+PageSize], nil
+	return p.backing(f)[:], nil
+}
+
+// backing returns frame f's contents, allocating them (zeroed) on first use.
+func (p *Physical) backing(f Frame) *[PageSize]byte {
+	b := p.frames[f]
+	if b == nil {
+		b = new([PageSize]byte)
+		p.frames[f] = b
+	}
+	return b
 }
 
 // inRange reports whether [a, a+n) lies inside physical memory without the
 // sum a+n, which wraps for addresses near 2^64 and would let a huge address
-// pass the check and panic on the slice below.
+// pass the check and index past the last frame below.
 func (p *Physical) inRange(a Addr, n int) bool {
 	size := p.nframes * PageSize
 	return uint64(a) <= size && uint64(n) <= size-uint64(a)
 }
 
-// ReadPhys copies len(buf) bytes from physical address a.
+// ReadPhys copies len(buf) bytes from physical address a. Unbacked frames
+// read as zero and stay unbacked.
 func (p *Physical) ReadPhys(a Addr, buf []byte) error {
 	if !p.inRange(a, len(buf)) {
 		return fmt.Errorf("mem: physical read out of range at %#x", a)
 	}
-	copy(buf, p.data[a:])
+	for len(buf) > 0 {
+		off := a & (PageSize - 1)
+		var n int
+		if b := p.frames[FrameOf(a)]; b != nil {
+			n = copy(buf, b[off:])
+		} else {
+			n = min(len(buf), int(PageSize-off))
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		a += Addr(n)
+	}
 	return nil
 }
 
@@ -354,18 +381,22 @@ func (p *Physical) WritePhys(a Addr, buf []byte) error {
 	if !p.inRange(a, len(buf)) {
 		return fmt.Errorf("mem: physical write out of range at %#x", a)
 	}
-	copy(p.data[a:], buf)
+	for len(buf) > 0 {
+		n := copy(p.backing(FrameOf(a))[a&(PageSize-1):], buf)
+		buf = buf[n:]
+		a += Addr(n)
+	}
 	return nil
 }
 
-// Zero clears the contents of a frame.
+// Zero clears the contents of a frame. An unbacked frame already reads as
+// zero and is left unbacked.
 func (p *Physical) Zero(f Frame) error {
-	b, err := p.Bytes(f)
-	if err != nil {
+	if err := p.check(f); err != nil {
 		return err
 	}
-	for i := range b {
-		b[i] = 0
+	if b := p.frames[f]; b != nil {
+		*b = [PageSize]byte{}
 	}
 	return nil
 }
@@ -413,7 +444,8 @@ func (p *Physical) DecRef(f Frame) (uint32, error) {
 }
 
 // CopyFrame copies the full contents of frame src into frame dst (the
-// copy-on-write break primitive). Both frames must be allocated.
+// copy-on-write break primitive). Both frames must be allocated. An
+// unbacked src zeroes dst and stays unbacked.
 func (p *Physical) CopyFrame(dst, src Frame) error {
 	if err := p.check(dst); err != nil {
 		return err
@@ -424,9 +456,11 @@ func (p *Physical) CopyFrame(dst, src Frame) error {
 	if !p.meta[dst].Allocated || !p.meta[src].Allocated {
 		return fmt.Errorf("mem: copy between unallocated frames %d <- %d", dst, src)
 	}
-	d := p.data[uint64(dst)*PageSize : uint64(dst)*PageSize+PageSize]
-	s := p.data[uint64(src)*PageSize : uint64(src)*PageSize+PageSize]
-	copy(d, s)
+	if s := p.frames[src]; s != nil {
+		*p.backing(dst) = *s
+	} else if d := p.frames[dst]; d != nil {
+		*d = [PageSize]byte{}
+	}
 	return nil
 }
 

@@ -25,7 +25,6 @@ package metrics
 
 import (
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/asterisc-release/erebor-go/internal/trace"
@@ -82,6 +81,7 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+	key      []byte // seriesKey scratch, guarded by mu
 }
 
 // New builds an empty registry.
@@ -92,36 +92,41 @@ func New() *Registry {
 // Enabled reports whether the registry is live (hook-site convenience).
 func (r *Registry) Enabled() bool { return r != nil }
 
-// canonical renders a label set as a stable map key. Labels are sorted by
-// key; '\xff' cannot appear in a well-formed label, so the join is
-// unambiguous.
-func canonical(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte('\xff')
-		}
-		b.WriteString(l.Key)
-		b.WriteByte('\xfe')
-		b.WriteString(l.Value)
-	}
-	return b.String()
-}
+// inlineLabels is how many labels a series lookup sorts on the stack;
+// every hook site passes far fewer.
+const inlineLabels = 8
 
-// sortLabels returns a sorted copy of the label set.
-func sortLabels(labels []Label) []Label {
-	out := make([]Label, len(labels))
-	copy(out, labels)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+// seriesKey sorts labels by key into sorted (the caller's stack array) and
+// renders the canonical series key into the registry's scratch buffer. Keys
+// join labels with '\xff' and each key to its value with '\xfe'; neither
+// byte can appear in a well-formed label, so the key is unambiguous. Both
+// results are valid only until the next call (r.mu held); getSeries copies
+// them when it creates a series. The insertion sort is stable and label sets
+// are tiny.
+func (r *Registry) seriesKey(labels []Label, sorted *[inlineLabels]Label) ([]Label, []byte) {
+	out := append(sorted[:0], labels...)
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].Key < out[j-1].Key; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	k := r.key[:0]
+	for i, l := range out {
+		if i > 0 {
+			k = append(k, '\xff')
+		}
+		k = append(k, l.Key...)
+		k = append(k, '\xfe')
+		k = append(k, l.Value...)
+	}
+	r.key = k
+	return out, k
 }
 
 // getSeries finds or creates the series for (name, labels). The first
 // writer fixes the family kind; a later write of a different kind panics —
 // in a deterministic simulation that is a wiring bug, never load-dependent.
+// Finding an existing series allocates nothing.
 func (r *Registry) getSeries(name string, kind Kind, labels []Label) *series {
 	fam := r.families[name]
 	if fam == nil {
@@ -132,17 +137,28 @@ func (r *Registry) getSeries(name string, kind Kind, labels []Label) *series {
 		panic("metrics: family " + name + " is a " + fam.kind.String() +
 			", written as " + kind.String())
 	}
-	sorted := sortLabels(labels)
-	key := canonical(sorted)
-	s := fam.series[key]
+	var buf [inlineLabels]Label
+	sorted, key := r.seriesKey(labels, &buf)
+	s := fam.series[string(key)]
 	if s == nil {
-		s = &series{labels: sorted}
+		s = &series{labels: append([]Label(nil), sorted...)}
 		if kind == HistogramKind {
 			s.hist = &trace.Histogram{}
 		}
-		fam.series[key] = s
+		fam.series[string(key)] = s
 	}
 	return s
+}
+
+// lookup returns the existing series for (name, labels), or nil. r.mu held.
+func (r *Registry) lookup(name string, labels []Label) *series {
+	fam := r.families[name]
+	if fam == nil {
+		return nil
+	}
+	var buf [inlineLabels]Label
+	_, key := r.seriesKey(labels, &buf)
+	return fam.series[string(key)]
 }
 
 // Describe attaches help text to a family (created lazily if unseen; the
@@ -238,15 +254,10 @@ func (r *Registry) Value(name string, labels ...Label) uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fam := r.families[name]
-	if fam == nil {
-		return 0
+	if s := r.lookup(name, labels); s != nil {
+		return s.value
 	}
-	s := fam.series[canonical(sortLabels(labels))]
-	if s == nil {
-		return 0
-	}
-	return s.value
+	return 0
 }
 
 // Hist reads a histogram series snapshot (zero Histogram when absent).
@@ -256,15 +267,10 @@ func (r *Registry) Hist(name string, labels ...Label) trace.Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fam := r.families[name]
-	if fam == nil {
-		return trace.Histogram{}
+	if s := r.lookup(name, labels); s != nil && s.hist != nil {
+		return *s.hist
 	}
-	s := fam.series[canonical(sortLabels(labels))]
-	if s == nil || s.hist == nil {
-		return trace.Histogram{}
-	}
-	return *s.hist
+	return trace.Histogram{}
 }
 
 // SeriesValue is one series of a family in a snapshot.

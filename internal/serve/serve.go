@@ -701,7 +701,7 @@ func (s *Server) admit(sl *slot) {
 	sl.backoff = s.pol.BackoffBase
 	sl.waitN = 0
 	sl.lastErr = nil
-	sl.request = s.requestFor(sl.tenant)
+	sl.request = s.requestFor(sl.request, sl.tenant)
 	sl.start = s.w.M.Clock.Now()
 	sl.computeAt = 0
 	sl.svcSent = false
@@ -742,9 +742,13 @@ func (s *Server) queueCap() int {
 	return secchan.DefaultQueueCap
 }
 
-// requestFor derives tenant t's request payload from the seed.
-func (s *Server) requestFor(t int) []byte {
-	req := make([]byte, s.cfg.InputBytes)
+// requestFor derives tenant t's request payload from the seed into req,
+// reusing its storage when it is large enough.
+func (s *Server) requestFor(req []byte, t int) []byte {
+	if cap(req) < s.cfg.InputBytes {
+		req = make([]byte, s.cfg.InputBytes)
+	}
+	req = req[:s.cfg.InputBytes]
 	x := uint64(s.cfg.Seed)*0xBF58476D1CE4E5B9 + uint64(t)*0x94D049BB133111EB + 0x2545F4914F6CDD1D
 	for i := range req {
 		x = x*6364136223846793005 + 1442695040888963407
@@ -753,13 +757,22 @@ func (s *Server) requestFor(t int) []byte {
 	return req
 }
 
-// expectedReply computes what the worker should answer for a request.
-func (s *Server) expectedReply(req []byte) []byte {
-	out := make([]byte, len(req))
-	for i := range req {
-		out[i] = req[i] ^ s.win[i%len(s.win)]
+// checkReply reports whether msg is the worker's answer to req: req XOR
+// the model window, repeated. It compares in place, one window at a time.
+func (s *Server) checkReply(req, msg []byte) error {
+	if len(msg) != len(req) {
+		return fmt.Errorf("serve: reply length %d, want %d", len(msg), len(req))
 	}
-	return out
+	for base := 0; base < len(req); base += len(s.win) {
+		r := req[base:min(base+len(s.win), len(req))]
+		m := msg[base : base+len(r)]
+		for i, w := range s.win[:len(r)] {
+			if m[i] != r[i]^w {
+				return fmt.Errorf("serve: reply byte %d mismatch", base+i)
+			}
+		}
+	}
+	return nil
 }
 
 // phaseOf maps a slot FSM state to its attribution phase.
@@ -1078,19 +1091,7 @@ func (s *Server) tick(sl *slot) {
 // finish validates and records a completed session, then turns the slot
 // over to its next tenant.
 func (s *Server) finish(sl *slot, msg []byte) {
-	want := s.expectedReply(sl.request)
-	var err error
-	if len(msg) != len(want) {
-		err = fmt.Errorf("serve: reply length %d, want %d", len(msg), len(want))
-	} else {
-		for i := range msg {
-			if msg[i] != want[i] {
-				err = fmt.Errorf("serve: reply byte %d mismatch", i)
-				break
-			}
-		}
-	}
-	if err != nil {
+	if err := s.checkReply(sl.request, msg); err != nil {
 		s.fail(sl, err)
 		return
 	}

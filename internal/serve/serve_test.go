@@ -444,3 +444,48 @@ func TestServeChaosDrainsCleanly(t *testing.T) {
 		t.Fatalf("monitor audit violations after chaos drain: %v", v)
 	}
 }
+
+// TestCheckReplyMatchesWindowXOR: the in-place reply check accepts exactly
+// req[i] ^ win[i % len(win)], names the first wrong byte, and refuses a
+// reply of the wrong length, for requests shorter than, equal to and not a
+// multiple of the window.
+func TestCheckReplyMatchesWindowXOR(t *testing.T) {
+	s := &Server{win: []byte{3, 1, 4, 1, 5}, cfg: Config{Seed: 11}}
+	for _, n := range []int{0, 1, 4, 5, 13, 64} {
+		s.cfg.InputBytes = n
+		req := s.requestFor(nil, 7)
+		want := make([]byte, n)
+		for i := range req {
+			want[i] = req[i] ^ s.win[i%len(s.win)]
+		}
+		if err := s.checkReply(req, want); err != nil {
+			t.Fatalf("n=%d: correct reply refused: %v", n, err)
+		}
+		for i := range want {
+			want[i] ^= 0x80
+			err := s.checkReply(req, want)
+			want[i] ^= 0x80
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("byte %d mismatch", i)) {
+				t.Fatalf("n=%d: flipped byte %d: err=%v", n, i, err)
+			}
+		}
+		if err := s.checkReply(req, append(want, 0)); err == nil {
+			t.Fatalf("n=%d: over-long reply accepted", n)
+		}
+	}
+}
+
+// TestRequestForReusesBuffer: refilling a slot's request buffer gives the
+// same bytes as a fresh one and keeps its storage.
+func TestRequestForReusesBuffer(t *testing.T) {
+	s := &Server{cfg: Config{Seed: 5, InputBytes: 32}}
+	buf := s.requestFor(nil, 1)
+	fresh := s.requestFor(nil, 2)
+	got := s.requestFor(buf, 2)
+	if &got[0] != &buf[0] {
+		t.Fatal("requestFor reallocated a buffer that was large enough")
+	}
+	if !bytes.Equal(got, fresh) {
+		t.Fatal("refilled request differs from a freshly derived one")
+	}
+}
