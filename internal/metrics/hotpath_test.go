@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // labelSets are the 0–3 label shapes hook sites pass, each listed unsorted.
 var labelSets = [][]Label{
@@ -23,56 +20,14 @@ func TestRegistryHitAllocatesNothing(t *testing.T) {
 			"SetMax":    func() { r.SetMax("g", 9, labels...) },
 			"Observe":   func() { r.Observe("h", 100, labels...) },
 			"ObserveEx": func() { r.ObserveEx("h", 100, 7, labels...) },
+			// The hook-site idiom: labels built inline as variadic arguments.
+			"Inc(literal)": func() { r.Inc("lit", KV("kind", "mmu"), KV("tenant", "1"), KV("phase", "compute")) },
 		}
 		for name, op := range ops {
 			op() // the first write creates the series
 			if n := testing.AllocsPerRun(100, op); n != 0 {
 				t.Errorf("%s with %d labels: %v allocs per hit, want 0", name, len(labels), n)
 			}
-		}
-	}
-}
-
-// TestRegistryHitLiteralLabelsAllocateNothing covers the hook-site idiom:
-// labels built inline as variadic arguments.
-func TestRegistryHitLiteralLabelsAllocateNothing(t *testing.T) {
-	r := New()
-	op := func() {
-		r.Inc("emc", KV("kind", "mmu"), KV("tenant", "1"), KV("phase", "compute"))
-		r.Observe("lat", 42, KV("tenant", "1"))
-	}
-	op()
-	if n := testing.AllocsPerRun(100, op); n != 0 {
-		t.Fatalf("%v allocs per hit, want 0", n)
-	}
-}
-
-func TestLabelOrderNeverSplitsSeries(t *testing.T) {
-	base := []Label{KV("a", "1"), KV("b", "2"), KV("c", "3")}
-	perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
-	r := New()
-	for _, p := range perms {
-		ls := []Label{base[p[0]], base[p[1]], base[p[2]]}
-		r.Inc("c", ls...)
-		r.Set("g", uint64(p[0]+1), ls...)
-		r.Observe("h", 10, ls...)
-	}
-	for _, name := range []string{"c", "g", "h"} {
-		s := r.Series(name)
-		if len(s) != 1 {
-			t.Fatalf("%s: %d series from one label set, want 1", name, len(s))
-		}
-		if got := fmt.Sprint(s[0].Labels); got != fmt.Sprint(base) {
-			t.Fatalf("%s: stored labels %s, want sorted %s", name, got, fmt.Sprint(base))
-		}
-	}
-	for _, p := range perms {
-		ls := []Label{base[p[0]], base[p[1]], base[p[2]]}
-		if v := r.Value("c", ls...); v != uint64(len(perms)) {
-			t.Fatalf("Value%v = %d, want %d", ls, v, len(perms))
-		}
-		if h := r.Hist("h", ls...); h.Count != uint64(len(perms)) {
-			t.Fatalf("Hist%v count = %d, want %d", ls, h.Count, len(perms))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -83,6 +84,36 @@ func TestLabelOrderInsensitive(t *testing.T) {
 	}
 	if n := len(r.Series("x")); n != 1 {
 		t.Fatalf("series count = %d, want 1", n)
+	}
+
+	// Every permutation of three labels, through every write kind and
+	// both readers, lands on one series that stores its labels sorted.
+	base := []Label{KV("a", "1"), KV("b", "2"), KV("c", "3")}
+	perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	r = New()
+	for _, p := range perms {
+		ls := []Label{base[p[0]], base[p[1]], base[p[2]]}
+		r.Inc("c", ls...)
+		r.Set("g", uint64(p[0]+1), ls...)
+		r.Observe("h", 10, ls...)
+	}
+	for _, name := range []string{"c", "g", "h"} {
+		s := r.Series(name)
+		if len(s) != 1 {
+			t.Fatalf("%s: %d series from one label set, want 1", name, len(s))
+		}
+		if got := fmt.Sprint(s[0].Labels); got != fmt.Sprint(base) {
+			t.Fatalf("%s: stored labels %s, want sorted %s", name, got, fmt.Sprint(base))
+		}
+	}
+	for _, p := range perms {
+		ls := []Label{base[p[0]], base[p[1]], base[p[2]]}
+		if v := r.Value("c", ls...); v != uint64(len(perms)) {
+			t.Fatalf("Value%v = %d, want %d", ls, v, len(perms))
+		}
+		if h := r.Hist("h", ls...); h.Count != uint64(len(perms)) {
+			t.Fatalf("Hist%v count = %d, want %d", ls, h.Count, len(perms))
+		}
 	}
 }
 
