@@ -254,6 +254,8 @@ func (mon *Monitor) sandboxFault(c *cpu.Core, t *cpu.Trap, sb *sbState) {
 // validating ownership, attachment and seal state.
 func (mon *Monitor) EMCMapSandboxFault(c *cpu.Core, asid ASID, va paging.Addr, write bool) error {
 	return mon.gate(c, "mmu", func() error {
+		// The PTE-write body is paid up front, refused or not, and before a
+		// CoW break can record its event.
 		mon.pteWrite(1)
 		as, ok := mon.addrSpaces[asid]
 		if !ok {
@@ -264,51 +266,28 @@ func (mon *Monitor) EMCMapSandboxFault(c *cpu.Core, asid ASID, va paging.Addr, w
 			return denied("map-sandbox-fault", "no live sandbox on address space %d", asid)
 		}
 		va = paging.PageBase(va)
-		prev, _, walkFault := as.tables.Walk(va)
-		replaced := func(leaf paging.PTE) {
-			if walkFault == nil && prev.Is(paging.Present) && prev != leaf {
-				mon.M.Shootdown(c, as.tables.Root, va)
-			}
-		}
-		if leaf, ok := sb.confinedLeaf[va]; ok {
+		leaf, confined := sb.confinedLeaf[va]
+		if confined && write && leaf.Is(paging.CoW) {
 			// Write fault on a CoW-shared page: copy, re-own and re-key the
 			// page before any byte of the write lands (the I4 single-mapping
 			// invariant is re-established here, ahead of client data).
-			if write && leaf.Is(paging.CoW) {
-				if err := mon.cowBreakLocked(sb, va); err != nil {
-					return err
-				}
-				leaf = sb.confinedLeaf[va]
-				// The break replaced any installed read-only leaf itself;
-				// re-walk so the shootdown logic below sees the fresh state.
-				prev, _, walkFault = as.tables.Walk(va)
-			}
-			if err := as.tables.Map(va, leaf); err != nil {
+			if err := mon.cowBreakLocked(sb, va); err != nil {
 				return err
 			}
-			replaced(leaf)
-			as.userFrames[va] = leaf.Frame()
-			return nil
+			leaf = sb.confinedLeaf[va]
+		} else if !confined {
+			cr, at, idx := mon.commonFaultFor(sb, va)
+			if cr == nil {
+				return denied("map-sandbox-fault", "va %#x not declared sandbox memory", va)
+			}
+			writable := at.writable && !cr.sealed
+			if write && !writable {
+				return denied("map-sandbox-fault", "region %q is read-only", cr.name)
+			}
+			leaf = leafFor(cr.frames[idx], MapFlags{Writable: writable})
 		}
-		cr, at, idx := mon.commonFaultFor(sb, va)
-		if cr == nil {
-			return denied("map-sandbox-fault", "va %#x not declared sandbox memory", va)
-		}
-		writable := at.writable && !cr.sealed
-		if write && !writable {
-			return denied("map-sandbox-fault", "region %q is read-only", cr.name)
-		}
-		f := cr.frames[idx]
-		leaf := (paging.Present | paging.User | paging.NX).WithFrame(f)
-		if writable {
-			leaf |= paging.Writable
-		}
-		if err := as.tables.Map(va, leaf); err != nil {
-			return err
-		}
-		replaced(leaf)
-		as.userFrames[va] = f
-		return nil
+		t := mmuTxn{mon: mon, c: c, as: as, writes: []leafWrite{{va: va, leaf: leaf}}, prepaid: true}
+		return t.run()
 	})
 }
 
@@ -397,22 +376,19 @@ func (mon *Monitor) declareConfinedLocked(sb *sbState, va paging.Addr, npages ui
 	return nil
 }
 
-// ensurePage installs a confined or common mapping for va if the page is
-// declared but not yet present (monitor-internal: data installation paths).
+// ensurePage installs a confined mapping for va if the page is declared
+// but not yet present (monitor-internal: data installation paths).
 func (mon *Monitor) ensurePage(sb *sbState, va paging.Addr) error {
 	as := mon.addrSpaces[sb.asid]
-	if _, ok := as.userFrames[va]; ok {
+	if as.mapped(va) {
 		return nil
 	}
-	if leaf, ok := sb.confinedLeaf[va]; ok {
-		if err := as.tables.Map(va, leaf); err != nil {
-			return err
-		}
-		as.userFrames[va] = leaf.Frame()
-		mon.pteWrite(1)
-		return nil
+	leaf, ok := sb.confinedLeaf[va]
+	if !ok {
+		return denied("ensure-page", "va %#x not declared", va)
 	}
-	return denied("ensure-page", "va %#x not declared", va)
+	t := mmuTxn{mon: mon, c: mon.shootdownInitiator(), as: as, writes: []leafWrite{{va: va, leaf: leaf}}}
+	return t.run()
 }
 
 // commonNameByID resolves the numeric region ids the ioctl ABI uses.

@@ -1,6 +1,9 @@
 package monitor
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
 	"github.com/asterisc-release/erebor-go/internal/mem"
@@ -109,12 +112,11 @@ func (mon *Monitor) EMCDestroyAS(c *cpu.Core, asid ASID) error {
 		if sb := mon.sandboxByAS(asid); sb != nil && !sb.destroyed {
 			return denied("destroy-as", "address space %d hosts live sandbox %d", asid, sb.id)
 		}
-		for va := range as.userFrames {
-			if err := as.tables.Unmap(va); err != nil {
-				return err
-			}
+		// Clear in VA order, so the first error is stable.
+		t := mmuTxn{mon: mon, c: c, as: as, writes: clears(sortedKeys(as.userFrames))}
+		if err := t.commit(); err != nil {
+			return err
 		}
-		mon.pteWrite(uint64(len(as.userFrames)))
 		// Every translation of this address space is now stale on every
 		// core; flush them before the root (or any frame) can be reissued.
 		mon.M.ShootdownRoot(c, as.tables.Root)
@@ -246,7 +248,7 @@ func (mon *Monitor) userOp(c *cpu.Core, asid ASID, r RingReq) error {
 		if !ok {
 			err = denied(userOpName(r.Op), "unknown address space %d", asid)
 		} else {
-			err = mon.newTxn(c, as, []RingReq{r}, userOpName).run()
+			err = mon.runReqs(c, as, []RingReq{r}, userOpName)
 		}
 		if err != nil {
 			mon.pteWrite(1)
@@ -269,7 +271,7 @@ func (mon *Monitor) EMCMapUserBatch(c *cpu.Core, asid ASID, reqs []MapReq) error
 		for i, r := range reqs {
 			work[i] = RingReq{Op: OpMap, VA: r.VA, Frame: r.Frame, Flags: r.Flags}
 		}
-		return mon.newTxn(c, as, work, userOpName).run()
+		return mon.runReqs(c, as, work, userOpName)
 	})
 }
 
@@ -278,57 +280,65 @@ func userOpName(op MMUOp) string { return op.String() + "-user" }
 
 // --- The MMU transaction engine -------------------------------------------
 
-// mmuTxn applies a list of kernel-supplied user-mapping requests to one
-// address space. It is the only code that applies such requests: the
-// single-op EMCs, EMCMapUserBatch and EMCRingDrain all run one (the
-// monitor's own leaf writes — fault installs, CoW, seals, teardown — take
-// no request list). A transaction has three steps, and PTEWrites counts
-// only table writes that physically happen:
+// leafWrite is the engine's unit of work, one resolved user-leaf write: set
+// the slot at va to leaf, or clear it when leaf is zero. A reclaim clears
+// and always flushes, since the reclaimed frame may be reissued at once.
+// commit fills in the rest.
+type leafWrite struct {
+	va      paging.Addr
+	leaf    paging.PTE
+	reclaim bool
+
+	stale bool // cores may cache what the write replaced
+
+	// Undo state: the slot before the write.
+	hadLeaf, hadFrame bool
+	prevLeaf          paging.PTE
+	prevF             mem.Frame
+}
+
+// mmuTxn applies a list of leaf writes to one address space. It is the only
+// code that writes a user leaf or the frame accounting beside it. The
+// kernel's requests — single-op EMCs, EMCMapUserBatch and EMCRingDrain —
+// become writes in validate; the monitor's own writes (sandbox fault
+// installs, CoW breaks, seals, CoW release and teardown) are built from
+// state the monitor already trusts and take no request list. A transaction
+// has three steps:
 //
-//  1. validate checks a working copy of every request against a pending
-//     view of the address space, writing and charging nothing;
-//  2. commit applies the copy under one undo log; if a table write fails,
-//     rollback restores every applied leaf and frame, releases the
-//     page-table pages the transaction allocated and shoots down every
-//     undone VA, leaving the address space exactly as it was;
+//  1. validate checks every kernel request against a pending view of the
+//     address space and resolves it to a write, writing and charging
+//     nothing;
+//  2. commit applies the writes, one counted PTE write each, under one undo
+//     log; if a table write fails, rollback restores every applied leaf and
+//     frame, releases the page-table pages the transaction allocated and
+//     shoots down every undone VA, leaving the address space exactly as it
+//     was. commitAll, for writes that must never be undone (teardown of a
+//     dying sandbox, a seal), instead reports a failed write and carries on;
 //  3. flush invalidates every live leaf the commit changed with one
-//     coalesced shootdown (at most one IPI per remote core).
+//     coalesced shootdown (at most one IPI per remote core). Sites that
+//     drop a whole address space flush its root instead.
 type mmuTxn struct {
-	mon  *Monitor
-	c    *cpu.Core
-	as   *asState
-	name func(MMUOp) string // denial label of each request's operation
-	work []RingReq
-
-	undo    []mmuUndo
-	newPTPs map[mem.Frame]bool
-	pairs   []cpu.ShootdownPair // flush set, deduplicated, in commit order
-	flushed map[paging.Addr]bool
+	mon    *Monitor
+	c      *cpu.Core // initiator of the transaction's shootdowns
+	as     *asState
+	writes []leafWrite
+	// prepaid: the caller charged the PTE-write bodies itself (the sandbox
+	// fault pays up front, before a CoW break may emit its event).
+	prepaid bool
 }
 
-// mmuUndo snapshots one slot before the commit writes it.
-type mmuUndo struct {
-	va       paging.Addr
-	hadLeaf  bool
-	prevLeaf paging.PTE
-	hadFrame bool
-	prevF    mem.Frame
-}
-
-// newTxn starts a transaction over a working copy of reqs: flag
-// normalization by the policy survives into commit, and the caller's slice
-// (e.g. the ring's entries) is never modified.
-func (mon *Monitor) newTxn(c *cpu.Core, as *asState, reqs []RingReq, name func(MMUOp) string) *mmuTxn {
-	work := make([]RingReq, len(reqs))
-	copy(work, reqs)
-	return &mmuTxn{mon: mon, c: c, as: as, name: name, work: work}
-}
-
-// run executes all three steps.
-func (t *mmuTxn) run() error {
-	if err := t.validate(); err != nil {
+// runReqs validates kernel requests and runs them as one transaction.
+func (mon *Monitor) runReqs(c *cpu.Core, as *asState, reqs []RingReq, name func(MMUOp) string) error {
+	writes, err := mon.validate(as, reqs, name)
+	if err != nil {
 		return err
 	}
+	t := mmuTxn{mon: mon, c: c, as: as, writes: writes}
+	return t.run()
+}
+
+// run commits the writes and flushes the live leaves they changed.
+func (t *mmuTxn) run() error {
 	if err := t.commit(); err != nil {
 		return err
 	}
@@ -336,240 +346,251 @@ func (t *mmuTxn) run() error {
 	return nil
 }
 
-// validate checks every request the way it will apply: the pending view
-// holds the effect of the transaction's earlier requests, so a protect may
-// target a page an earlier map of the same transaction installs.
-func (t *mmuTxn) validate() error {
-	mon, as := t.mon, t.as
-	type pending struct {
-		frame  mem.Frame
-		mapped bool
-	}
-	var view map[paging.Addr]pending
+// validate checks every request the way it will apply and resolves it to a
+// leaf write; name labels each denial. The pending view is the writes
+// resolved so far, so a protect may target a page an earlier map of the
+// same transaction installs. reqs itself is never modified.
+func (mon *Monitor) validate(as *asState, reqs []RingReq, name func(MMUOp) string) ([]leafWrite, error) {
+	writes := make([]leafWrite, 0, len(reqs))
 	lookup := func(va paging.Addr) (mem.Frame, bool) {
-		if p, ok := view[va]; ok {
-			return p.frame, p.mapped
+		for i := len(writes) - 1; i >= 0; i-- {
+			if writes[i].va == va {
+				return writes[i].leaf.Frame(), writes[i].leaf != 0
+			}
 		}
 		f, ok := as.userFrames[va]
 		return f, ok
 	}
-	pend := func(va paging.Addr, p pending) {
-		if view == nil {
-			view = make(map[paging.Addr]pending)
-		}
-		view[va] = p
-	}
-	for i := range t.work {
-		r := &t.work[i]
-		va := paging.PageBase(r.VA)
+	for _, r := range reqs {
+		w := leafWrite{va: paging.PageBase(r.VA)}
 		// Every operation is range-checked: the kernel half (direct map,
 		// kernel text, monitor) is shared by all address spaces, and no
 		// user-mapping EMC may write it.
 		if r.VA >= UserTop || r.VA < UserBase {
-			return denied(t.name(r.Op), "va %#x outside user range", r.VA)
+			return nil, denied(name(r.Op), "va %#x outside user range", r.VA)
 		}
 		switch r.Op {
 		case OpMap:
-			if err := mon.userFramePolicy(t.name(r.Op), as, r.Frame, &r.Flags); err != nil {
-				return err
+			if err := mon.userFramePolicy(name(r.Op), as, r.Frame, &r.Flags); err != nil {
+				return nil, err
 			}
-			pend(va, pending{frame: r.Frame, mapped: true})
+			w.leaf = leafFor(r.Frame, r.Flags)
 		case OpUnmap:
-			pend(va, pending{})
 		case OpProtect:
-			f, mapped := lookup(va)
+			f, mapped := lookup(w.va)
 			if !mapped {
-				return denied(t.name(r.Op), "va %#x not mapped", r.VA)
+				return nil, denied(name(r.Op), "va %#x not mapped", r.VA)
 			}
-			if err := mon.userFramePolicy(t.name(r.Op), as, f, &r.Flags); err != nil {
-				return err
+			if err := mon.userFramePolicy(name(r.Op), as, f, &r.Flags); err != nil {
+				return nil, err
 			}
+			w.leaf = leafFor(f, r.Flags)
 		case OpReclaim:
-			f, mapped := lookup(va)
+			f, mapped := lookup(w.va)
 			if !mapped {
-				return denied(t.name(r.Op), "va %#x not mapped", r.VA)
+				return nil, denied(name(r.Op), "va %#x not mapped", r.VA)
 			}
 			meta, err := mon.M.Phys.Meta(f)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if meta.Pinned {
-				return denied(t.name(r.Op), "frame %d is pinned (confined memory)", f)
+				return nil, denied(name(r.Op), "frame %d is pinned (confined memory)", f)
 			}
 			if mon.commonOf(f) == nil {
-				return denied(t.name(r.Op), "frame %d is not common-region memory", f)
+				return nil, denied(name(r.Op), "frame %d is not common-region memory", f)
 			}
-			pend(va, pending{})
+			w.reclaim = true
 		default:
-			return denied(t.name(r.Op), "unknown op %d", r.Op)
+			return nil, denied(name(r.Op), "unknown op %d", r.Op)
 		}
+		writes = append(writes, w)
 	}
-	return nil
+	return writes, nil
 }
 
-// commit applies the validated requests in order, one counted PTE write
-// each, tracking the page-table pages the tables allocate on its behalf.
+// commit applies the writes in order, rolling every applied one back if a
+// table write fails. allocPTP logs the page-table pages the tables allocate
+// meanwhile, so rollback can release them.
 func (t *mmuTxn) commit() error {
+	mon := t.mon
+	mon.txnPTPs, mon.inCommit = mon.txnPTPs[:0], true
+	defer func() { mon.inCommit = false }()
+	for i := range t.writes {
+		if err := t.apply(&t.writes[i]); err != nil {
+			t.rollback(i)
+			return err
+		}
+	}
+	return nil
+}
+
+// commitAll applies every write without an undo log: a failed one is
+// handed to fail, accounted as written, and the rest carry on.
+func (t *mmuTxn) commitAll(fail func(va paging.Addr, err error)) {
+	for i := range t.writes {
+		w := &t.writes[i]
+		if err := t.apply(w); err != nil {
+			fail(w.va, err)
+			t.settle(w)
+		}
+	}
+}
+
+// apply records the slot's undo state and writes one leaf; on success it
+// settles the write.
+func (t *mmuTxn) apply(w *leafWrite) error {
 	tables := t.as.tables
-	prevHook := tables.OnPTPAlloc
-	tables.OnPTPAlloc = func(f mem.Frame) {
-		if t.newPTPs == nil {
-			t.newPTPs = make(map[mem.Frame]bool)
-		}
-		t.newPTPs[f] = true
-		if prevHook != nil {
-			prevHook(f)
-		}
+	if pte, _, fault := tables.Walk(w.va); fault == nil {
+		w.hadLeaf, w.prevLeaf = true, pte
 	}
-	defer func() { tables.OnPTPAlloc = prevHook }()
-	t.undo = make([]mmuUndo, 0, len(t.work))
-	for _, r := range t.work {
-		u := mmuUndo{va: paging.PageBase(r.VA)}
-		if pte, _, fault := tables.Walk(u.va); fault == nil && pte.Is(paging.Present) {
-			u.hadLeaf, u.prevLeaf = true, pte
-		}
-		u.prevF, u.hadFrame = t.as.userFrames[u.va]
-		if err := t.apply(r, u); err != nil {
-			t.rollback(u.va)
-			return err
-		}
+	w.prevF, w.hadFrame = t.as.userFrames[w.va]
+	var err error
+	if w.leaf != 0 {
+		err = tables.Map(w.va, w.leaf)
+	} else {
+		err = tables.Unmap(w.va)
+	}
+	if err != nil {
+		return err
+	}
+	t.settle(w)
+	return nil
+}
+
+// settle updates the frame accounting for a written leaf, marks it stale
+// if it replaced or cleared a live leaf (a first install or an identical
+// rewrite leaves cached translations valid) and counts the PTE write.
+func (t *mmuTxn) settle(w *leafWrite) {
+	if w.leaf != 0 {
+		t.as.userFrames[w.va] = w.leaf.Frame()
+	} else {
+		delete(t.as.userFrames, w.va)
+	}
+	w.stale = w.reclaim || (w.hadLeaf && w.prevLeaf != w.leaf)
+	if !t.prepaid {
 		t.mon.pteWrite(1)
-		t.undo = append(t.undo, u)
 	}
-	return nil
 }
 
-// apply writes one request's leaf and frame accounting and queues the
-// invalidation its change needs.
-func (t *mmuTxn) apply(r RingReq, u mmuUndo) error {
-	tables, va := t.as.tables, u.va
-	switch r.Op {
-	case OpMap:
-		leaf := leafFor(r.Frame, r.Flags)
-		if err := tables.Map(r.VA, leaf); err != nil {
-			return err
-		}
-		// Replacing a live leaf invalidates whatever cores cached for this
-		// page; a first install (or an identical rewrite) does not.
-		if u.hadLeaf && u.prevLeaf != leaf {
-			t.invalidate(va)
-		}
-		t.as.userFrames[va] = r.Frame
-	case OpUnmap, OpReclaim:
-		if err := tables.Unmap(va); err != nil {
-			return err
-		}
-		// A reclaimed frame may be handed out again immediately, so reclaim
-		// flushes even if the walk faulted; a plain unmap flushes only a
-		// present leaf.
-		if u.hadLeaf || r.Op == OpReclaim {
-			t.invalidate(va)
-		}
-		delete(t.as.userFrames, va)
-	case OpProtect:
-		f, ok := t.as.userFrames[va]
-		if !ok {
-			return denied(t.name(r.Op), "va %#x vanished mid-commit", r.VA)
-		}
-		changed := false
-		if err := tables.Update(va, func(e paging.PTE) paging.PTE {
-			ne := leafFor(f, r.Flags)
-			changed = ne != e
-			return ne
-		}); err != nil {
-			return err
-		}
-		// Permission-identical rewrites (the common accessed/dirty refresh
-		// after a fault install) leave cached translations valid.
-		if changed {
-			t.invalidate(va)
-		}
-	}
-	return nil
-}
-
-// invalidate adds va to the flush set once.
-func (t *mmuTxn) invalidate(va paging.Addr) {
-	if t.flushed[va] {
-		return
-	}
-	if t.flushed == nil {
-		t.flushed = make(map[paging.Addr]bool)
-	}
-	t.flushed[va] = true
-	t.pairs = append(t.pairs, cpu.ShootdownPair{Root: t.as.tables.Root, VA: va})
-}
-
-// rollback undoes the applied prefix in reverse order after the request at
-// failedVA failed to write.
-func (t *mmuTxn) rollback(failedVA paging.Addr) {
+// rollback undoes the applied writes[:failed] in reverse order after
+// writes[failed] failed to write.
+func (t *mmuTxn) rollback(failed int) {
 	mon, as := t.mon, t.as
-	vas := []paging.Addr{failedVA}
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		u := t.undo[i]
-		vas = append(vas, u.va)
+	for i := failed - 1; i >= 0; i-- {
+		w := t.writes[i]
 		var err error
-		if u.hadLeaf {
-			err = as.tables.Map(u.va, u.prevLeaf)
+		if w.hadLeaf {
+			err = as.tables.Map(w.va, w.prevLeaf)
 		} else {
-			err = as.tables.Unmap(u.va)
+			err = as.tables.Unmap(w.va)
 		}
 		if err != nil {
 			// A rollback that cannot restore a leaf leaves the address space
 			// inconsistent with the monitor's bookkeeping — that must never
 			// vanish silently.
-			mon.recordViolation("mmu rollback: restore of va %#x failed: %v", u.va, err)
+			mon.recordViolation("mmu rollback: restore of va %#x failed: %v", w.va, err)
 		} else {
 			mon.pteWrite(1)
 		}
-		if u.hadFrame {
-			as.userFrames[u.va] = u.prevF
+		if w.hadFrame {
+			as.userFrames[w.va] = w.prevF
 		} else {
-			delete(as.userFrames, u.va)
+			delete(as.userFrames, w.va)
 		}
 	}
-	// With every applied leaf undone (and the failing request never
-	// written), any table page this transaction allocated on these paths is
-	// empty again: release it so a failed transaction consumes no PTP
-	// frames. Pre-existing tables are refused and left in place.
-	if len(t.newPTPs) > 0 {
-		for _, va := range vas {
-			_ = as.tables.Prune(va, func(f mem.Frame) bool {
-				if !t.newPTPs[f] {
+	// With every applied leaf undone (and the failing write never made),
+	// any table page this transaction allocated on these paths is empty
+	// again: release it so a failed transaction consumes no PTP frames.
+	// Pre-existing tables are refused and left in place.
+	if len(mon.txnPTPs) > 0 {
+		for i := failed; i >= 0; i-- {
+			va := t.writes[i].va
+			if err := as.tables.Prune(va, func(f mem.Frame) bool {
+				if !slices.Contains(mon.txnPTPs, f) {
 					return false
 				}
 				mon.freePTP(f, va)
 				mon.pteWrite(1) // the cleared parent entry
 				return true
-			})
+			}); err != nil {
+				mon.recordViolation("mmu rollback: release of page tables on va %#x failed: %v", va, err)
+			}
 		}
 	}
 	// Another core may have walked the tables mid-commit and cached the
 	// leaves this rollback just rewrote; one shootdown over every undone VA
 	// closes that window before the gate returns.
-	if undone := vas[1:]; len(undone) > 0 {
-		pairs := make([]cpu.ShootdownPair, len(undone))
-		for i, va := range undone {
-			pairs[i] = cpu.ShootdownPair{Root: as.tables.Root, VA: va}
+	if failed > 0 {
+		pairs := make([]cpu.ShootdownPair, failed)
+		for i := range pairs {
+			pairs[i] = cpu.ShootdownPair{Root: as.tables.Root, VA: t.writes[i].va}
 		}
 		mon.M.ShootdownBatch(t.c, pairs)
 	}
 }
 
-// flush issues the commit's invalidation set as one coalesced shootdown
-// and returns the IPIs it sent. An empty set issues nothing: ShootdownBatch
-// requires a ring-0 initiator even with nothing to flush, and Table 4's MMU
-// row enters the gate from a ring-3 task context.
-func (t *mmuTxn) flush() int {
-	if len(t.pairs) == 0 {
-		return 0
+// flush invalidates the stale pages as one coalesced shootdown — a page
+// written twice is flushed once — and returns how many pages it flushed and
+// the IPIs it sent. An empty set issues nothing: ShootdownBatch requires a
+// ring-0 initiator even with nothing to flush, and Table 4's MMU row enters
+// the gate from a ring-3 task context.
+func (t *mmuTxn) flush() (pages, sent int) {
+	var pairs []cpu.ShootdownPair
+	for _, w := range t.writes {
+		if w.stale {
+			pairs = append(pairs, cpu.ShootdownPair{Root: t.as.tables.Root, VA: w.va})
+		}
 	}
-	sent := t.mon.M.ShootdownBatch(t.c, t.pairs)
+	if len(pairs) == 0 {
+		return 0, 0
+	}
+	slices.SortFunc(pairs, func(a, b cpu.ShootdownPair) int { return cmp.Compare(a.VA, b.VA) })
+	pairs = slices.Compact(pairs)
+	sent = t.mon.M.ShootdownBatch(t.c, pairs)
 	if remotes := len(t.mon.M.Cores) - 1; sent > remotes {
 		t.mon.recordViolation("mmu transaction sent %d shootdown IPIs for one flush (max %d)",
 			sent, remotes)
 	}
-	return sent
+	return len(pairs), sent
+}
+
+// clears returns one clearing write per VA.
+func clears(vas []paging.Addr) []leafWrite {
+	writes := make([]leafWrite, len(vas))
+	for i, va := range vas {
+		writes[i].va = va
+	}
+	return writes
+}
+
+// clearsOfMapped returns a clearing write for each VA of vas that holds a
+// user leaf.
+func (as *asState) clearsOfMapped(vas []paging.Addr) []leafWrite {
+	var writes []leafWrite
+	for _, va := range vas {
+		if as.mapped(va) {
+			writes = append(writes, leafWrite{va: va})
+		}
+	}
+	return writes
+}
+
+// mapped reports whether va holds a user leaf.
+func (as *asState) mapped(va paging.Addr) bool {
+	_, ok := as.userFrames[va]
+	return ok
+}
+
+// sortedKeys returns m's keys in ascending order: a monitor walk over a map
+// that writes, charges or records must not follow Go's map order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // pteWrite counts n PTE writes in Stats.PTEWrites and charges their bodies.

@@ -46,54 +46,85 @@ func TestUnmapUserRefusesKernelHalf(t *testing.T) {
 	}
 }
 
-// TestMapUserFailureReleasesPTPs: a single-op map that fails on page-table
-// exhaustion returns the page-table pages it allocated to the monitor pool,
-// exactly as a failed batch does, instead of orphaning them.
+// TestMapUserFailureReleasesPTPs: a single-op map — or a sandbox fault
+// install — that fails on page-table exhaustion returns the page-table pages
+// it allocated to the monitor pool, exactly as a failed batch does, instead
+// of orphaning them.
 func TestMapUserFailureReleasesPTPs(t *testing.T) {
-	mon := bootedMonitor(t)
-	c := mon.M.Cores[0]
-	owner := mem.OwnerTaskBase + 1
-	asid, err := mon.EMCCreateAS(c, owner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := mustAlloc(t, mon, owner)
+	// 0x4000_0000 needs a new PD (allocated) and a new PT (which fails).
+	const va = paging.Addr(0x4000_0000)
+	for _, tc := range []struct {
+		name string
+		// setup prepares an address space and returns the install that must
+		// fail once the monitor pool is down to one frame.
+		setup func(t *testing.T, mon *Monitor) func() error
+	}{
+		{"map-user", func(t *testing.T, mon *Monitor) func() error {
+			c := mon.M.Cores[0]
+			owner := mem.OwnerTaskBase + 1
+			asid, err := mon.EMCCreateAS(c, owner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := mustAlloc(t, mon, owner)
+			return func() error { return mon.EMCMapUser(c, asid, va, f, MapFlags{Writable: true}) }
+		}},
+		{"sandbox-fault", func(t *testing.T, mon *Monitor) func() error {
+			c := mon.M.Cores[0]
+			asid, err := mon.EMCCreateAS(c, mem.OwnerTaskBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb, err := mon.EMCCreateSandbox(c, asid, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mon.EMCDeclareConfined(c, sb, va, 1, false); err != nil {
+				t.Fatal(err)
+			}
+			return func() error { return mon.EMCMapSandboxFault(c, asid, va, true) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mon := bootedMonitor(t)
+			install := tc.setup(t, mon)
 
-	// Leave exactly one frame in the monitor pool: 0x4000_0000 needs a new
-	// PD (allocated) and a new PT (which fails).
-	var drained []mem.Frame
-	for {
-		fr, err := mon.M.Phys.AllocRegion(RegionMonitor, mem.OwnerMonitor)
-		if err != nil {
-			break
-		}
-		drained = append(drained, fr)
-	}
-	if len(drained) < 1 {
-		t.Fatal("monitor pool too small for the test")
-	}
-	if err := mon.M.Phys.Free(drained[0]); err != nil {
-		t.Fatal(err)
-	}
+			// Leave exactly one frame in the monitor pool.
+			var drained []mem.Frame
+			for {
+				fr, err := mon.M.Phys.AllocRegion(RegionMonitor, mem.OwnerMonitor)
+				if err != nil {
+					break
+				}
+				drained = append(drained, fr)
+			}
+			if len(drained) < 1 {
+				t.Fatal("monitor pool too small for the test")
+			}
+			if err := mon.M.Phys.Free(drained[0]); err != nil {
+				t.Fatal(err)
+			}
 
-	ptpsBefore := len(mon.ptps)
-	pteBefore := mon.Stats.PTEWrites
-	if err := mon.EMCMapUser(c, asid, 0x4000_0000, f, MapFlags{Writable: true}); err == nil {
-		t.Fatal("map committed despite page-table exhaustion")
-	}
-	if got := len(mon.ptps); got != ptpsBefore {
-		t.Fatalf("failed map orphaned page-table pages: %d -> %d", ptpsBefore, got)
-	}
-	if _, err := mon.M.Phys.AllocRegion(RegionMonitor, mem.OwnerMonitor); err != nil {
-		t.Fatalf("PD frame not returned to the monitor pool: %v", err)
-	}
-	// The refused op's own PTE-write body plus the cleared parent entry of
-	// the released PD.
-	if got := mon.Stats.PTEWrites - pteBefore; got != 2 {
-		t.Fatalf("PTEWrites delta = %d, want 2 (refusal + 1 PTP unlink)", got)
-	}
-	if v := mon.Audit(); len(v) != 0 {
-		t.Fatalf("audit violations after failed map: %v", v)
+			ptpsBefore := len(mon.ptps)
+			pteBefore := mon.Stats.PTEWrites
+			if err := install(); err == nil {
+				t.Fatal("install committed despite page-table exhaustion")
+			}
+			if got := len(mon.ptps); got != ptpsBefore {
+				t.Fatalf("failed install orphaned page-table pages: %d -> %d", ptpsBefore, got)
+			}
+			if _, err := mon.M.Phys.AllocRegion(RegionMonitor, mem.OwnerMonitor); err != nil {
+				t.Fatalf("PD frame not returned to the monitor pool: %v", err)
+			}
+			// The EMC's own PTE-write body plus the cleared parent entry of
+			// the released PD.
+			if got := mon.Stats.PTEWrites - pteBefore; got != 2 {
+				t.Fatalf("PTEWrites delta = %d, want 2 (EMC body + 1 PTP unlink)", got)
+			}
+			if v := mon.Audit(); len(v) != 0 {
+				t.Fatalf("audit violations after failed install: %v", v)
+			}
+		})
 	}
 }
 
@@ -172,14 +203,44 @@ func TestMapUserBatchRefusalChargesGateOnly(t *testing.T) {
 	}
 }
 
-// txnOutcome is what an MMU request sequence leaves behind: every touched
-// leaf, the frame accounting, and the PTE writes and TLB invalidations it
-// took.
+// txnOutcome is what a sequence of leaf writes leaves behind: every touched
+// leaf, the frame accounting, and the PTE writes, TLB invalidations,
+// shootdown IPIs and cycles it took.
 type txnOutcome struct {
 	leaves     map[paging.Addr]paging.PTE
 	frames     map[paging.Addr]mem.Frame
 	pteWrites  uint64
 	tlbInvalid uint64
+	ipisSent   uint64
+	cycles     uint64
+}
+
+// outcomeMark holds the counters a txnOutcome is measured against.
+type outcomeMark struct{ ptes, inval, ipis, clock uint64 }
+
+func markOutcome(mon *Monitor) outcomeMark {
+	return outcomeMark{mon.Stats.PTEWrites, tlbInvalidations(mon), mon.M.IPIsSent, mon.M.Clock.Now()}
+}
+
+// outcome reads as's touched leaves and frame accounting, and the counter
+// deltas since the mark. A destroyed address space has no frame accounting.
+func (m outcomeMark) outcome(mon *Monitor, as *asState, touched []paging.Addr) txnOutcome {
+	o := txnOutcome{leaves: map[paging.Addr]paging.PTE{}, frames: map[paging.Addr]mem.Frame{}}
+	for _, va := range touched {
+		if pte, _, fault := as.tables.Walk(va); fault == nil {
+			o.leaves[va] = pte
+		}
+	}
+	if mon.addrSpaces[as.id] == as {
+		for va, f := range as.userFrames {
+			o.frames[va] = f
+		}
+	}
+	o.pteWrites = mon.Stats.PTEWrites - m.ptes
+	o.tlbInvalid = tlbInvalidations(mon) - m.inval
+	o.ipisSent = mon.M.IPIsSent - m.ipis
+	o.cycles = mon.M.Clock.Now() - m.clock
+	return o
 }
 
 // TestMMUPathsAgree: the same request sequence applied as single-op EMCs,
@@ -207,21 +268,6 @@ func TestMMUPathsAgree(t *testing.T) {
 		primeCore(t, mon, mon.M.Cores[1], asid, vaA, vaB)
 		fresh := []mem.Frame{mustAlloc(t, mon, owner), mustAlloc(t, mon, owner), mustAlloc(t, mon, owner)}
 		return mon, c0, asid, fresh
-	}
-	outcome := func(mon *Monitor, asid ASID, ptes, inval uint64) txnOutcome {
-		as := mon.addrSpaces[asid]
-		o := txnOutcome{leaves: map[paging.Addr]paging.PTE{}, frames: map[paging.Addr]mem.Frame{}}
-		for _, va := range touched {
-			if pte, _, fault := as.tables.Walk(va); fault == nil {
-				o.leaves[va] = pte
-			}
-		}
-		for va, f := range as.userFrames {
-			o.frames[va] = f
-		}
-		o.pteWrites = mon.Stats.PTEWrites - ptes
-		o.tlbInvalid = tlbInvalidations(mon) - inval
-		return o
 	}
 	seq := func(f []mem.Frame) []RingReq {
 		return []RingReq{
@@ -256,12 +302,15 @@ func TestMMUPathsAgree(t *testing.T) {
 		if maps {
 			reqs = reqs[:3]
 		}
-		ptes, inval := mon.Stats.PTEWrites, tlbInvalidations(mon)
+		mark := markOutcome(mon)
 		apply(mon, c0, asid, reqs)
 		if v := mon.Audit(); len(v) != 0 {
 			t.Fatalf("audit violations: %v", v)
 		}
-		return outcome(mon, asid, ptes, inval)
+		// The wrappers differ in gate crossings and IPI coalescing only.
+		o := mark.outcome(mon, mon.addrSpaces[asid], touched)
+		o.ipisSent, o.cycles = 0, 0
+		return o
 	}
 	drain := func(mon *Monitor, c *cpu.Core, asid ASID, reqs []RingReq) {
 		ring := NewSubmitRing(asid, 0)

@@ -117,7 +117,8 @@ type asState struct {
 	id     ASID
 	owner  mem.Owner
 	tables *paging.Tables
-	// userFrames tracks frames mapped into user space (for teardown).
+	// userFrames tracks frames mapped into user space; only the MMU
+	// transaction engine (mmu.go) writes it.
 	userFrames map[paging.Addr]mem.Frame
 }
 
@@ -134,6 +135,8 @@ type Monitor struct {
 	dirmapReady  bool
 
 	ptps          map[mem.Frame]bool
+	inCommit      bool        // an MMU transaction is committing
+	txnPTPs       []mem.Frame // page-table pages allocated by that commit
 	monitorFrames map[mem.Frame]bool
 	kernelText    map[mem.Frame]bool // W^X bookkeeping
 
@@ -374,6 +377,9 @@ func (mon *Monitor) allocPTP() (mem.Frame, error) {
 		return 0, err
 	}
 	mon.ptps[f] = true
+	if mon.inCommit {
+		mon.txnPTPs = append(mon.txnPTPs, f)
+	}
 	if mon.dirmapReady {
 		mon.keyDirectMap(f, KeyPTP)
 	}

@@ -97,33 +97,34 @@ func (mon *Monitor) EMCRingDrain(c *cpu.Core, ring *SubmitRing) error {
 			mon.Met.Inc(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "committed"))
 			return nil
 		}
-		t := mon.newTxn(c, as, ring.reqs, ringOpName)
-		if err := t.validate(); err != nil {
+		writes, err := mon.validate(as, ring.reqs, ringOpName)
+		if err != nil {
 			mon.Met.Inc(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "rejected"))
 			return err
 		}
+		t := mmuTxn{mon: mon, c: c, as: as, writes: writes}
 		if err := t.commit(); err != nil {
 			return err
 		}
-		sent := t.flush()
+		flushed, sent := t.flush()
 		depth := uint64(ring.Len())
+		opCount := [4]uint64{}
+		for _, r := range ring.reqs {
+			opCount[r.Op]++
+		}
 		ring.Reset()
 
 		mon.Met.Observe(metrics.FamilyEMCRingDepth, depth)
 		mon.Met.SetMax(metrics.FamilyHighWater, depth,
 			metrics.KV("resource", metrics.ResourceEMCRingDepth))
 		mon.Met.Inc(metrics.FamilyEMCRingDrains, metrics.KV("outcome", "committed"))
-		opCount := [4]uint64{}
-		for _, r := range t.work {
-			opCount[r.Op]++
-		}
 		for op, n := range opCount {
 			if n > 0 {
 				mon.Met.Add(metrics.FamilyEMCRingOps, n, metrics.KV("op", MMUOp(op).String()))
 			}
 		}
 		mon.Met.Add(metrics.FamilyRingCoalescedIPIs, uint64(sent), metrics.KV("result", "sent"))
-		if len(t.pairs) > 0 {
+		if flushed > 0 {
 			skipped := uint64(len(mon.M.Cores)-1) - uint64(sent)
 			mon.Met.Add(metrics.FamilyRingCoalescedIPIs, skipped, metrics.KV("result", "skipped"))
 		}

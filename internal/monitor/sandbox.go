@@ -269,12 +269,10 @@ func (mon *Monitor) commonAttachLocked(id SandboxID, name string, base paging.Ad
 		return denied("common-attach", "sandbox %d holds client data; writable attach refused", id)
 	}
 	sb.commons[name] = true
-	as := mon.addrSpaces[sb.asid]
 	// Attach lazily: record the attachment; pages fault in on first touch
 	// (this is what produces the common-memory page-fault traffic the paper
 	// reports for llama.cpp, Table 6).
 	cr.attached = append(cr.attached, attachment{sb: id, asid: sb.asid, base: base, writable: writable})
-	_ = as
 	return nil
 }
 
@@ -284,9 +282,10 @@ func (mon *Monitor) commonAttachLocked(id SandboxID, name string, base paging.Ad
 // the writable translation in its TLB, so each affected address space gets
 // a batched shootdown of the leaves that actually changed — without it a
 // sibling sandbox on another vCPU could keep writing a sealed region.
+// Regions seal in name order, so the shootdowns and their IPIs do too.
 func (mon *Monitor) sealCommons(c *cpu.Core, sb *sbState) {
 	defer mon.wdPhaseSweep(TriggerSeal)
-	for name := range sb.commons {
+	for _, name := range sortedKeys(sb.commons) {
 		cr := mon.commons[name]
 		if cr.sealed {
 			continue
@@ -297,23 +296,21 @@ func (mon *Monitor) sealCommons(c *cpu.Core, sb *sbState) {
 			if !ok {
 				continue
 			}
-			var stale []paging.Addr
+			t := mmuTxn{mon: mon, c: c, as: as}
 			for p := range cr.frames {
 				va := at.base + paging.Addr(p*mem.PageSize)
-				changed := false
-				// Only present leaves need the W bit cleared.
-				if err := as.tables.Update(va, func(e paging.PTE) paging.PTE {
-					changed = e.Is(paging.Writable)
-					return e &^ paging.Writable
-				}); err != nil {
-					continue // not yet faulted in; will map read-only
-				}
-				mon.pteWrite(1)
-				if changed {
-					stale = append(stale, va)
+				// Only present leaves need the W bit cleared; the rest are
+				// not yet faulted in and will map read-only.
+				if pte, _, fault := as.tables.Walk(va); fault == nil {
+					t.writes = append(t.writes, leafWrite{va: va, leaf: pte &^ paging.Writable})
 				}
 			}
-			mon.M.Shootdown(c, as.tables.Root, stale...)
+			// A seal is never undone: a failed write is recorded and the
+			// rest of the region still seals.
+			t.commitAll(func(va paging.Addr, err error) {
+				mon.recordViolation("seal %q: write-protect of va %#x: %v", name, va, err)
+			})
+			t.flush()
 		}
 	}
 }
@@ -500,8 +497,7 @@ func (mon *Monitor) endSandboxLocked(c *cpu.Core, sb *sbState, reason string) {
 	mon.retireChannel(sb)
 	as := mon.addrSpaces[sb.asid]
 	// A failed step leaves a frame the monitor can no longer account for;
-	// each one is recorded, in VA order so the record is deterministic
-	// (the loop below walks a map).
+	// each one is recorded, in VA order so the record is deterministic.
 	type teardownFault struct {
 		va   paging.Addr
 		f    mem.Frame
@@ -509,23 +505,27 @@ func (mon *Monitor) endSandboxLocked(c *cpu.Core, sb *sbState, reason string) {
 		err  error
 	}
 	var faults []teardownFault
-	for va, f := range sb.confined {
-		// Pages still CoW-shared with a template are not this sandbox's to
-		// free — or even to unmap here: most were never installed (the fork
-		// records leaves lazily), so releaseCowLocked below unmaps just the
-		// faulted-in ones and drops only the refcount (the template's
-		// baseline keeps the frame alive). That is what keeps fork teardown
-		// O(pages touched) rather than O(template pages).
-		if sb.cowPages[va] {
-			continue
+	// Pages still CoW-shared with a template are not this sandbox's to free
+	// — or even to unmap here: most were never installed (the fork records
+	// leaves lazily), so releaseCowLocked below unmaps just the faulted-in
+	// ones and drops only the refcount (the template's baseline keeps the
+	// frame alive). That is what keeps fork teardown O(pages touched) rather
+	// than O(template pages).
+	vas := make([]paging.Addr, 0, len(sb.confined)-len(sb.cowPages))
+	for va := range sb.confined {
+		if !sb.cowPages[va] {
+			vas = append(vas, va)
 		}
-		if as != nil {
-			if err := as.tables.Unmap(va); err != nil {
-				faults = append(faults, teardownFault{va, f, "unmap", err})
-			}
-			delete(as.userFrames, va)
-			mon.pteWrite(1)
-		}
+	}
+	slices.Sort(vas)
+	if as != nil {
+		t := mmuTxn{mon: mon, c: c, as: as, writes: clears(vas)}
+		t.commitAll(func(va paging.Addr, err error) {
+			faults = append(faults, teardownFault{va, sb.confined[va], "unmap", err})
+		})
+	}
+	for _, va := range vas {
+		f := sb.confined[va]
 		delete(mon.confinedOwner, f)
 		if err := mon.M.Phys.SetPinned(f, false); err != nil {
 			faults = append(faults, teardownFault{va, f, "unpin", err})

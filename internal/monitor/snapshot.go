@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/cpu"
@@ -120,12 +119,7 @@ func (mon *Monitor) EMCSnapshotSandbox(c *cpu.Core, id SandboxID, name string) (
 			tmpl.leaf[va] = sb.confinedLeaf[va]
 		}
 		// Capture the attachment set in a fixed order (sb.commons is a map).
-		names := make([]string, 0, len(sb.commons))
-		for n := range sb.commons {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range sortedKeys(sb.commons) {
 			cr := mon.commons[n]
 			for _, at := range cr.attached {
 				if at.sb == id {
@@ -141,20 +135,13 @@ func (mon *Monitor) EMCSnapshotSandbox(c *cpu.Core, id SandboxID, name string) (
 			delete(mon.confinedOwner, f)
 			mon.templateFrames[f] = tid
 		}
-		for va := range sb.confined {
-			if as == nil {
-				break
-			}
-			if _, mapped := as.userFrames[va]; !mapped {
-				continue
-			}
-			_ = as.tables.Unmap(va)
-			delete(as.userFrames, va)
-			mon.pteWrite(1)
-		}
-		// No core may keep translating into frames that are about to be
-		// shared read-only across tenants.
 		if as != nil {
+			t := mmuTxn{mon: mon, c: c, as: as, writes: as.clearsOfMapped(sortedKeys(sb.confined))}
+			t.commitAll(func(va paging.Addr, err error) {
+				mon.recordViolation("snapshot-sandbox %d: unmap of va %#x: %v", id, va, err)
+			})
+			// No core may keep translating into frames that are about to be
+			// shared read-only across tenants.
 			mon.M.ShootdownRoot(c, as.tables.Root)
 		}
 		// Retire the source identity without a scrub: the frames now belong
@@ -264,7 +251,9 @@ func (mon *Monitor) EMCDestroyTemplate(c *cpu.Core, tid TemplateID) error {
 			if err := mon.M.Phys.Zero(f); err == nil {
 				mon.M.Clock.Charge(costs.PageZero)
 			}
-			_ = mon.M.Phys.SetPinned(f, false)
+			if err := mon.M.Phys.SetPinned(f, false); err != nil {
+				mon.recordViolation("destroy-template %d: unpinning frame %d: %v", tid, f, err)
+			}
 			if _, err := mon.M.Phys.DecRef(f); err != nil {
 				mon.recordViolation("destroy-template %d: releasing frame %d: %v", tid, f, err)
 			}
@@ -291,11 +280,15 @@ func (mon *Monitor) cowBreakLocked(sb *sbState, va paging.Addr) error {
 	if err != nil {
 		return err
 	}
-	if err := mon.M.Phys.CopyFrame(nf, old); err != nil {
-		_ = mon.M.Phys.Free(nf)
+	if err = mon.M.Phys.CopyFrame(nf, old); err == nil {
+		err = mon.M.Phys.SetPinned(nf, true)
+	}
+	if err != nil {
+		if ferr := mon.M.Phys.Free(nf); ferr != nil {
+			mon.recordViolation("cow-break sandbox %d: releasing frame %d: %v", sb.id, nf, ferr)
+		}
 		return err
 	}
-	_ = mon.M.Phys.SetPinned(nf, true)
 	mon.confinedOwner[nf] = sb.id
 	newLeaf := ((sb.confinedLeaf[va] &^ paging.CoW) | paging.Writable).WithFrame(nf)
 	sb.confined[va] = nf
@@ -305,16 +298,12 @@ func (mon *Monitor) cowBreakLocked(sb *sbState, va paging.Addr) error {
 	if _, err := mon.M.Phys.DecRef(old); err != nil {
 		return err
 	}
-	if as := mon.addrSpaces[sb.asid]; as != nil {
-		if _, mapped := as.userFrames[va]; mapped {
-			if err := as.tables.Map(va, newLeaf); err != nil {
-				return err
-			}
-			as.userFrames[va] = nf
-			mon.pteWrite(1)
-			// Any core may still cache the read-only translation into the
-			// template frame; it must die before the write retires.
-			mon.M.Shootdown(mon.shootdownInitiator(), as.tables.Root, va)
+	if as := mon.addrSpaces[sb.asid]; as != nil && as.mapped(va) {
+		// Any core may still cache the read-only translation into the
+		// template frame; the flush kills it before the write retires.
+		t := mmuTxn{mon: mon, c: mon.shootdownInitiator(), as: as, writes: []leafWrite{{va: va, leaf: newLeaf}}}
+		if err := t.run(); err != nil {
+			return err
 		}
 	}
 	mon.Stats.CowBreaks++
@@ -336,30 +325,20 @@ func (mon *Monitor) releaseCowLocked(sb *sbState) {
 		return
 	}
 	sb.cowReleased = true
-	as := mon.addrSpaces[sb.asid]
 	// Release in VA order, not cowPages map order: the shootdown list and
 	// any violation records must be deterministic.
-	vas := make([]paging.Addr, 0, len(sb.cowPages))
-	for va := range sb.cowPages {
-		vas = append(vas, va)
+	vas := sortedKeys(sb.cowPages)
+	if as := mon.addrSpaces[sb.asid]; as != nil {
+		t := mmuTxn{mon: mon, c: mon.shootdownInitiator(), as: as, writes: as.clearsOfMapped(vas)}
+		t.commitAll(func(va paging.Addr, err error) {
+			mon.recordViolation("release-cow sandbox %d: unmap of va %#x: %v", sb.id, va, err)
+		})
+		t.flush()
 	}
-	sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
-	var stale []paging.Addr
 	for _, va := range vas {
-		if as != nil {
-			if _, mapped := as.userFrames[va]; mapped {
-				_ = as.tables.Unmap(va)
-				delete(as.userFrames, va)
-				mon.pteWrite(1)
-				stale = append(stale, va)
-			}
-		}
 		if _, err := mon.M.Phys.DecRef(sb.confined[va]); err != nil {
 			mon.recordViolation("release-cow sandbox %d: frame %d: %v", sb.id, sb.confined[va], err)
 		}
-	}
-	if as != nil && len(stale) > 0 {
-		mon.M.Shootdown(mon.shootdownInitiator(), as.tables.Root, stale...)
 	}
 	sb.cowPages = nil
 	if tmpl := mon.templates[sb.template]; tmpl != nil {

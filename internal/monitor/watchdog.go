@@ -288,7 +288,7 @@ func (mon *Monitor) InjectAuditViolation() (audit.Code, error) {
 	base := primary &^ paging.Addr(1<<21-1)
 	for off := paging.Addr(0); off < 1<<21; off += mem.PageSize {
 		va := base + off
-		if _, mapped := as.userFrames[va]; mapped {
+		if as.mapped(va) {
 			continue
 		}
 		if err := as.tables.Map(va, leafFor(frame, MapFlags{Writable: true})); err != nil {
