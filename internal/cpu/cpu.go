@@ -249,6 +249,31 @@ func (m *Machine) ProfExit() {
 	}
 }
 
+// ChargeIn charges n cycles under the named profiler frame: ProfEnter,
+// Clock.Charge and ProfExit in one call. Without a profiler the clock has
+// no sink, so the bare add is the whole charge; keeping this path small
+// keeps ChargeIn inlinable at Core.Access's TLB-hit and page-walk sites.
+func (m *Machine) ChargeIn(frame string, n uint64) {
+	if m.Prof != nil {
+		m.chargeProfiled(frame, n)
+		return
+	}
+	m.Clock.cycles.Add(n)
+}
+
+func (m *Machine) chargeProfiled(frame string, n uint64) {
+	m.Prof.Enter(frame)
+	m.Clock.Charge(n)
+	m.Prof.Exit()
+}
+
+// chargeShootdown charges n initiator-side shootdown cycles under frame and
+// adds them to ShootdownCycles.
+func (m *Machine) chargeShootdown(frame string, n uint64) {
+	m.ChargeIn(frame, n)
+	m.ShootdownCycles += n
+}
+
 // NewMachine creates a machine with ncores cores sharing phys.
 func NewMachine(phys *mem.Physical, ncores int, td bool) *Machine {
 	m := &Machine{Phys: phys, IBT: cet.NewIBT(), TD: td}
@@ -333,10 +358,7 @@ func (m *Machine) ShootdownBatch(initiator *Core, pairs []ShootdownPair) int {
 	if len(pairs) == 0 {
 		return 0
 	}
-	m.ProfEnter("cpu/shootdown/invlpg")
-	m.Clock.Charge(costs.TLBInvlPg * uint64(len(pairs)))
-	m.ProfExit()
-	m.ShootdownCycles += costs.TLBInvlPg * uint64(len(pairs))
+	m.chargeShootdown("cpu/shootdown/invlpg", costs.TLBInvlPg*uint64(len(pairs)))
 	need := make([]bool, len(m.Cores))
 	for i, c := range m.Cores {
 		for _, p := range pairs {
@@ -354,10 +376,7 @@ func (m *Machine) ShootdownBatch(initiator *Core, pairs []ShootdownPair) int {
 // when an address space is destroyed or a sandbox is recycled.
 func (m *Machine) ShootdownRoot(initiator *Core, root mem.Frame) {
 	m.checkShootdownInitiator(initiator)
-	m.ProfEnter("cpu/shootdown/flush")
-	m.Clock.Charge(costs.TLBFlushAS)
-	m.ProfExit()
-	m.ShootdownCycles += costs.TLBFlushAS
+	m.chargeShootdown("cpu/shootdown/flush", costs.TLBFlushAS)
 	need := make([]bool, len(m.Cores))
 	for i, c := range m.Cores {
 		n := c.tlb.InvalidateRoot(root)
@@ -376,10 +395,7 @@ func (m *Machine) ShootdownVA(initiator *Core, vas ...paging.Addr) {
 	if len(vas) == 0 {
 		return
 	}
-	m.ProfEnter("cpu/shootdown/invlpg")
-	m.Clock.Charge(costs.TLBInvlPg * uint64(len(vas)))
-	m.ProfExit()
-	m.ShootdownCycles += costs.TLBInvlPg * uint64(len(vas))
+	m.chargeShootdown("cpu/shootdown/invlpg", costs.TLBInvlPg*uint64(len(vas)))
 	need := make([]bool, len(m.Cores))
 	for i, c := range m.Cores {
 		for _, va := range vas {
@@ -671,14 +687,10 @@ func (c *Core) Access(v paging.Addr, kind paging.AccessKind) (paging.PTE, *Trap)
 	root := c.CR3Frame()
 	pte, hit := c.tlb.Lookup(root, v)
 	if hit {
-		c.Machine.ProfEnter("cpu/tlb-hit")
-		c.Machine.Clock.Charge(costs.TLBHit)
-		c.Machine.ProfExit()
+		c.Machine.ChargeIn("cpu/tlb-hit", costs.TLBHit)
 		c.TLBHits++
 	} else {
-		c.Machine.ProfEnter("cpu/page-walk")
-		c.Machine.Clock.Charge(costs.PageWalk)
-		c.Machine.ProfExit()
+		c.Machine.ChargeIn("cpu/page-walk", costs.PageWalk)
 		c.TLBMisses++
 		var f *paging.Fault
 		pte, _, f = c.Tables().Walk(v)
@@ -736,9 +748,7 @@ func (c *Core) span(v paging.Addr, n int, kind paging.AccessKind, fn func(pa mem
 		if err := fn(pa, off, chunk); err != nil {
 			return &Trap{Vector: VecGP, Detail: err.Error()}
 		}
-		c.Machine.ProfEnter("cpu/copy")
-		c.Machine.Clock.Charge(costs.Copy(chunk))
-		c.Machine.ProfExit()
+		c.Machine.ChargeIn("cpu/copy", costs.Copy(chunk))
 		v += paging.Addr(chunk)
 		off += chunk
 		n -= chunk

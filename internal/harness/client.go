@@ -34,10 +34,10 @@ type Client struct {
 	// handshake finishes (frame events on the client track).
 	Rec *trace.Recorder
 
-	// Met/Attr mirror Rec for the telemetry registry: frame tallies labeled
-	// with the ambient tenant (both optional, wired by the harness).
-	Met  *metrics.Registry
-	Attr *metrics.Attr
+	// Met mirrors Rec for the telemetry registry: frame tallies labeled
+	// with the tenant its attribution cursor names (optional, wired by the
+	// harness).
+	Met *metrics.Registry
 
 	// Rand, when non-nil, replaces the OS CSPRNG for the client's ephemeral
 	// handshake key and nonce (wired from World.Entropy on seeded worlds).
@@ -145,7 +145,7 @@ func (cl *Client) AwaitFinish() error {
 	// ping-pong retransmissions.
 	cl.conn = secchan.NewReliable(conn)
 	cl.conn.Rec, cl.conn.Track = cl.Rec, trace.TrackClient
-	cl.conn.Met, cl.conn.Attr = cl.Met, cl.Attr
+	cl.conn.Met = cl.Met
 	return nil
 }
 
@@ -229,7 +229,7 @@ func newSession(w *World, inj *faultinject.Injector, queueCap int) *Session {
 	pr := &secchan.Proxy{Outer: outer, Inner: proxyInner, Met: w.Met}
 	cl := NewClient(clientTr, w.QK.Public(), ExpectedMRTD(w.Mon.MonitorImage()))
 	cl.Rec = w.Rec
-	cl.Met, cl.Attr = w.Met, w.Attr
+	cl.Met = w.Met
 	cl.Rand = w.Entropy
 	if inj != nil && inj.Rec == nil {
 		inj.Rec = w.Rec

@@ -18,13 +18,13 @@ const PhasePagefault = "pagefault"
 // or without the async submission ring) with the cycle profiler attached,
 // and returns the profile alongside the run's whole-window cycle count.
 //
-// The attribution window wraps exactly the Schedule call: the window's
-// cycle delta is flushed to FamilyTenantPhaseCycles under (fleet,
-// "pagefault"), mirroring what the serving loop's phase cursor does, so
-// prof.CheckConservation holds for this harness too. Diffing the ring=false
-// and ring=true profiles attributes the ring's win stack by stack: the
-// per-fault monitor/gate/entry+exit crossings and cpu/shootdown stacks
-// shrink into one monitor/ring/drain per fault.
+// The attribution window wraps exactly the Schedule call: the registry's
+// attribution cursor, the one the serving loop moves, opens on (NoTenant,
+// "pagefault") and parks after it, so prof.CheckConservation holds for this
+// harness too. Diffing the ring=false and ring=true profiles attributes the
+// ring's win stack by stack: the per-fault monitor/gate/entry+exit
+// crossings and cpu/shootdown stacks shrink into one monitor/ring/drain per
+// fault.
 func ProfilePagefault(vcpus int, ring bool) (*prof.Profiler, uint64, error) {
 	if vcpus < 1 {
 		vcpus = 1
@@ -44,7 +44,7 @@ func ProfilePagefault(vcpus int, ring bool) (*prof.Profiler, uint64, error) {
 	}
 	w.Mon.RingMMU = ring
 	w.Mon.EnableWatchdog(0)
-	p := prof.New(w.Attr)
+	p := prof.New(w.Met)
 	w.M.AttachProfiler(p)
 	lmbench.Prepare(w.K)
 	completed := 0
@@ -54,16 +54,11 @@ func ProfilePagefault(vcpus int, ring bool) (*prof.Profiler, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	start := w.M.Clock.Now()
 	p.Start()
-	w.Attr.Phase = PhasePagefault
+	w.Met.MoveCursor(metrics.NoTenant, PhasePagefault, w.M.Clock.Now(), w.M.ShootdownCycles)
 	w.K.Schedule()
-	w.Attr.Phase = ""
+	delta := w.Met.MoveCursor(metrics.NoTenant, "", w.M.Clock.Now(), w.M.ShootdownCycles)
 	p.Stop()
-	delta := w.M.Clock.Now() - start
-	w.Met.Add(metrics.FamilyTenantPhaseCycles, delta,
-		metrics.KV("phase", PhasePagefault),
-		metrics.KV("tenant", metrics.TenantLabelOf(metrics.NoTenant)))
 	if t.ExitReason != "" {
 		return nil, 0, fmt.Errorf("pagefault (profiled): %s", t.ExitReason)
 	}

@@ -36,13 +36,10 @@ type World struct {
 	// Met is the telemetry registry shared by every layer (always non-nil:
 	// recording never charges the virtual clock, so there is no metered/
 	// unmetered cycle split to preserve — byte- and cycle-identity per seed
-	// holds with the registry always on).
+	// holds with the registry always on). Its attribution cursor is the
+	// (tenant, phase) context every layer reads at record time; NoTenant
+	// outside serving.
 	Met *metrics.Registry
-
-	// Attr is the ambient (tenant, phase) attribution context the serving
-	// loop mutates; monitor gates, kernel dispatch and secure channels read
-	// it at record time. Always non-nil; Tenant is NoTenant outside serving.
-	Attr *metrics.Attr
 
 	// Entropy is the handshake entropy source every key in this world draws
 	// from (nil = OS CSPRNG). Seeded worlds replay handshake bytes — and so
@@ -103,7 +100,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	module.MeasureBoot("firmware", firmware)
 
 	w := &World{Phys: phys, M: m, TDX: module, Host: host, Mode: cfg.Mode,
-		Met: metrics.New(), Attr: metrics.NewAttr(), Entropy: cfg.Entropy}
+		Met: metrics.New(), Entropy: cfg.Entropy}
 	if cfg.Trace {
 		// The recorder reads the machine clock but never charges it: a
 		// traced world and an untraced world run the same workload to the
@@ -134,7 +131,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		// so boot-time EMCs land in the shared registry (the histogram/Stats
 		// reconciliation tests count them).
 		mon.Met = w.Met
-		mon.Attr = w.Attr
 		img := kernel.BuildKernelImage(kernel.ImageOptions{Instrumented: true})
 		if _, err := mon.LoadKernel(img); err != nil {
 			return nil, fmt.Errorf("harness: kernel load: %w", err)
@@ -144,7 +140,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			return nil, err
 		}
 		k.Rec = w.Rec
-		k.Met, k.Attr = w.Met, w.Attr
+		k.Met = w.Met
 		w.K = k
 
 	case kernel.ModeNative:
@@ -158,7 +154,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			return nil, err
 		}
 		k.Rec = w.Rec
-		k.Met, k.Attr = w.Met, w.Attr
+		k.Met = w.Met
 		w.K = k
 
 	default:

@@ -113,11 +113,9 @@ type Kernel struct {
 
 	// Met is the shared telemetry registry (nil-safe; the harness wires the
 	// world-wide registry here). Recording never charges the virtual clock.
+	// While its attribution cursor names a tenant, scheduler dispatch cycles
+	// are attributed per tenant.
 	Met *metrics.Registry
-
-	// Attr is the ambient attribution context set by the serving loop; when
-	// a tenant is bound, scheduler dispatch cycles are attributed per tenant.
-	Attr *metrics.Attr
 
 	Stats Stats
 }

@@ -249,11 +249,11 @@ func (k *Kernel) dispatch(t *Task, c *cpu.Core) {
 	// ambient phase segment.
 	dispSpan := k.Rec.Begin()
 	defer k.Rec.EndSpan(dispSpan, trace.KindDispatch, trace.CoreTrack(c.ID), t.Name)
-	if k.Attr.Active() {
+	if t := k.Met.Tenant(); t != metrics.NoTenant {
 		// Per-tenant dispatch attribution: the whole slice — context switch,
 		// syscalls, faults, user compute — lands on the tenant the serving
 		// loop currently names. Reading the clock twice charges nothing.
-		tenant := k.Attr.TenantLabel()
+		tenant := metrics.TenantLabelOf(t)
 		defer func() {
 			k.Met.Add(metrics.FamilyTenantDispatchCycles,
 				k.M.Clock.Now()-dispStart, metrics.KV("tenant", tenant))
@@ -588,9 +588,7 @@ type Env struct {
 func (e *Env) Charge(n uint64) {
 	// The frame closes before the quantum check: a preemption yield must
 	// not suspend the task goroutine with a profiler frame still pushed.
-	e.K.M.ProfEnter("user/compute")
-	e.K.M.Clock.Charge(n)
-	e.K.M.ProfExit()
+	e.K.M.ChargeIn("user/compute", n)
 	e.checkSignals()
 	if e.K.M.Clock.Now() >= e.K.sliceEnd {
 		e.y.Yield(evPreempt{})

@@ -109,35 +109,96 @@ const (
 	PhaseFleet     = "fleet"
 )
 
-// NoTenant is the Attr.Tenant value meaning "no tenant context".
+// NoTenant is the tenant the cursor names outside any tenant's session.
 const NoTenant = -1
 
-// Attr is the ambient attribution context threaded from the serving loop
-// down through secchan, the monitor's EMC gates and kernel dispatch. The
-// serving loop mutates it as its slot FSM advances; lower layers read it at
-// record time. It is deliberately a plain shared struct, not a lock: the
-// simulation is single-threaded per world, and the context changes only at
-// slot boundaries.
-type Attr struct {
-	// Tenant is the tenant index being served (NoTenant when none).
+// PhaseKey is one (tenant, phase) attribution bucket: the pair
+// FamilyTenantPhaseCycles is labeled with.
+type PhaseKey struct {
 	Tenant int
-	// Phase is the session phase (one of the Phase* constants, "" if none).
-	Phase string
+	Phase  string
 }
 
-// NewAttr returns an attribution context with no tenant bound.
-func NewAttr() *Attr { return &Attr{Tenant: NoTenant} }
+// cursor is the registry's attribution context: the (tenant, phase) every
+// layer reads at record time, plus the clock and shootdown readings its
+// next move flushes against. The simulation goroutine alone moves and
+// reads it, so it sits outside Registry.mu: the per-charge profiler read
+// takes no lock.
+type cursor struct {
+	at   PhaseKey
+	last uint64 // clock at the last move
+	sd   uint64 // Machine.ShootdownCycles at the last move
+}
 
-// TenantLabel renders the tenant index as a metrics label value.
-func (a *Attr) TenantLabel() string {
-	if a == nil {
-		return "-1"
+// MoveCursor moves the attribution cursor to (tenant, phase) at cycle now,
+// with the machine's shootdown total at sd. Unless the cursor was parked,
+// the move flushes to the pair being left: the cycles elapsed since the
+// last move to FamilyTenantPhaseCycles, and the shootdown cycles since then
+// to FamilyShootdownCycles. It returns the flushed cycle delta. Phase ""
+// parks the cursor: nothing accumulates until the next move. Reading the
+// clock charges nothing, so attribution is cycle-neutral, and every cycle
+// between the opening move and the park lands in exactly one pair.
+func (r *Registry) MoveCursor(tenant int, phase string, now, sd uint64) uint64 {
+	if r == nil {
+		return 0
 	}
-	return strconv.Itoa(a.Tenant)
+	c := &r.cur
+	var delta uint64
+	if c.at.Phase != "" {
+		delta = now - c.last
+		tl := TenantLabelOf(c.at.Tenant)
+		r.Add(FamilyTenantPhaseCycles, delta, KV("phase", c.at.Phase), KV("tenant", tl))
+		if sd > c.sd {
+			r.Add(FamilyShootdownCycles, sd-c.sd, KV("tenant", tl))
+		}
+	}
+	*c = cursor{at: PhaseKey{Tenant: tenant, Phase: phase}, last: now, sd: sd}
+	return delta
 }
 
-// Active reports whether a tenant is currently bound.
-func (a *Attr) Active() bool { return a != nil && a.Tenant != NoTenant }
+// Tenant returns the tenant the cursor names (NoTenant when none, or on a
+// nil registry).
+func (r *Registry) Tenant() int {
+	if r == nil {
+		return NoTenant
+	}
+	return r.cur.at.Tenant
+}
+
+// Phase returns the phase the cursor names ("" when parked, or on a nil
+// registry).
+func (r *Registry) Phase() string {
+	if r == nil {
+		return ""
+	}
+	return r.cur.at.Phase
+}
 
 // TenantLabelOf renders any tenant index as a label value.
 func TenantLabelOf(tenant int) string { return strconv.Itoa(tenant) }
+
+// Attribution reads the cursor's flushed totals back: cycles per
+// (tenant, phase) and shootdown cycles per tenant. It is the one reader of
+// FamilyTenantPhaseCycles and FamilyShootdownCycles, whose only writer is
+// MoveCursor, so every series carries exactly the labels MoveCursor wrote
+// (sorted by key: phase, tenant).
+func (r *Registry) Attribution() (cycles map[PhaseKey]uint64, shootdown map[int]uint64) {
+	cycles, shootdown = make(map[PhaseKey]uint64), make(map[int]uint64)
+	for _, sv := range r.Series(FamilyTenantPhaseCycles) {
+		cycles[PhaseKey{Tenant: parseTenant(sv.Labels[1].Value), Phase: sv.Labels[0].Value}] += sv.Value
+	}
+	for _, sv := range r.Series(FamilyShootdownCycles) {
+		shootdown[parseTenant(sv.Labels[0].Value)] += sv.Value
+	}
+	return cycles, shootdown
+}
+
+// parseTenant reads back a tenant label TenantLabelOf rendered; one that
+// does not parse is a wiring bug.
+func parseTenant(v string) int {
+	t, err := strconv.Atoi(v)
+	if err != nil {
+		panic("metrics: malformed tenant label " + strconv.Quote(v))
+	}
+	return t
+}

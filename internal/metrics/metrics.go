@@ -82,11 +82,12 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	key      []byte // seriesKey scratch, guarded by mu
+	cur      cursor // attribution cursor (attr.go), not guarded by mu
 }
 
-// New builds an empty registry.
+// New builds an empty registry with its attribution cursor parked.
 func New() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	return &Registry{families: make(map[string]*family), cur: cursor{at: PhaseKey{Tenant: NoTenant}}}
 }
 
 // Enabled reports whether the registry is live (hook-site convenience).

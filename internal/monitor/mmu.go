@@ -603,9 +603,7 @@ func (mon *Monitor) pteWrite(n uint64) {
 // table write) under the monitor/pte-write profiler frame. It is the only
 // place that cost is charged.
 func (mon *Monitor) chargePTEWrite(n uint64) {
-	mon.M.ProfEnter("monitor/pte-write")
-	mon.M.Clock.Charge(n * costs.EreborPTEWriteBody)
-	mon.M.ProfExit()
+	mon.M.ChargeIn("monitor/pte-write", n*costs.EreborPTEWriteBody)
 }
 
 // TranslateUser walks an address space (monitor-internal and harness use).

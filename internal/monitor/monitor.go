@@ -221,13 +221,10 @@ type Monitor struct {
 	// Met is the telemetry registry — always non-nil after Boot (recording
 	// never charges the virtual clock, so there is no "metrics off" cycle
 	// difference to preserve). The harness replaces it with the world-wide
-	// shared registry right after Boot, before any EMC fires.
+	// shared registry right after Boot, before any EMC fires. While its
+	// attribution cursor names a tenant, EMC gate cycles are additionally
+	// broken down per tenant.
 	Met *metrics.Registry
-
-	// Attr is the ambient attribution context (tenant + session phase) set
-	// by the serving loop; when a tenant is bound, EMC gate cycles are
-	// additionally broken down per tenant. Nil outside serving.
-	Attr *metrics.Attr
 
 	// wd is the continuous invariant watchdog state (nil = disabled).
 	wd *watchdogState

@@ -7,6 +7,7 @@ import (
 	"github.com/asterisc-release/erebor-go/internal/cpu"
 	"github.com/asterisc-release/erebor-go/internal/isa"
 	"github.com/asterisc-release/erebor-go/internal/mem"
+	"github.com/asterisc-release/erebor-go/internal/metrics"
 	"github.com/asterisc-release/erebor-go/internal/paging"
 	"github.com/asterisc-release/erebor-go/internal/tdx"
 )
@@ -141,6 +142,33 @@ func TestEMCGateBalancesState(t *testing.T) {
 	}
 	if mon.Stats.EMCs != 10 {
 		t.Fatalf("EMC count %d", mon.Stats.EMCs)
+	}
+}
+
+// TestEMCNopAllocatesNothing: with no profiler or recorder attached, the
+// gate builds no frame or span names, so an empty EMC allocates nothing,
+// with the registry on (parked or naming a tenant) or off.
+func TestEMCNopAllocatesNothing(t *testing.T) {
+	mon := bootedMonitor(t)
+	c := mon.M.Cores[0]
+	met := mon.Met
+	for _, tc := range []struct {
+		name string
+		set  func()
+	}{
+		{"registry parked", func() { mon.Met = met }},
+		{"registry naming a tenant", func() { met.MoveCursor(3, metrics.PhaseCompute, mon.M.Clock.Now(), 0) }},
+		{"registry off", func() { mon.Met = nil }},
+	} {
+		tc.set()
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := mon.EMCNop(c); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: EMCNop allocates %.1f times per call, want 0", tc.name, allocs)
+		}
 	}
 }
 

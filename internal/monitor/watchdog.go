@@ -150,10 +150,7 @@ func (mon *Monitor) wdSweep(trigger string) {
 		return
 	}
 	now := mon.M.Clock.Now()
-	tenant := metrics.NoTenant
-	if mon.Attr.Active() {
-		tenant = mon.Attr.Tenant
-	}
+	tenant := mon.Met.Tenant()
 	for _, v := range violations {
 		severity := v.Code.Severity()
 		if wd.injected[v.Code] {

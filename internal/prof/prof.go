@@ -9,8 +9,9 @@
 //
 //	tenant:<t>;phase:<ph>;<frame>;<frame>;...
 //
-// where (tenant, phase) come from the shared metrics.Attr the serving loop
-// already maintains for per-phase cycle attribution (DESIGN.md §12), and
+// where (tenant, phase) come from the metrics registry's attribution cursor,
+// which the serving loop moves for per-phase cycle attribution (DESIGN.md
+// §12), and
 // the frames are an ambient mechanism stack pushed/popped by the layers
 // that charge: cpu access/copy/trap-delivery/shootdowns, the monitor's EMC
 // gates, ring drains and CoW breaks, kernel dispatch, fault handling and
@@ -42,13 +43,10 @@ import (
 
 // Key identifies one (tenant, phase) attribution bucket — the same pair
 // FamilyTenantPhaseCycles is labeled with.
-type Key struct {
-	Tenant int
-	Phase  string
-}
+type Key = metrics.PhaseKey
 
-// Label renders the bucket as the folded-stack prefix.
-func (k Key) Label() string {
+// stackPrefix renders a bucket as the folded-stack prefix.
+func stackPrefix(k Key) string {
 	return "tenant:" + strconv.Itoa(k.Tenant) + ";phase:" + k.Phase
 }
 
@@ -59,7 +57,7 @@ func (k Key) Label() string {
 // incrementally by Enter/Exit).
 type Profiler struct {
 	mu     sync.Mutex
-	attr   *metrics.Attr
+	met    *metrics.Registry
 	active bool
 
 	// stack is the live frame stack rendered as ";frame;frame..." (leading
@@ -72,21 +70,19 @@ type Profiler struct {
 	dropped uint64
 }
 
-// New builds a profiler reading tenant/phase from the given attribution
-// context (the world's shared *metrics.Attr). Recording starts disabled;
-// call Start at the attribution window's opening edge.
-func New(attr *metrics.Attr) *Profiler {
-	if attr == nil {
-		attr = metrics.NewAttr()
-	}
-	return &Profiler{attr: attr, samples: make(map[Key]map[string]uint64)}
+// New builds a profiler reading tenant/phase from the registry's
+// attribution cursor (a nil registry parks every charge: see Observe).
+// Recording starts disabled; call Start at the attribution window's
+// opening edge.
+func New(met *metrics.Registry) *Profiler {
+	return &Profiler{met: met, samples: make(map[Key]map[string]uint64)}
 }
 
 // Enabled reports whether the profiler is live (hook-site convenience).
 func (p *Profiler) Enabled() bool { return p != nil }
 
 // Start opens the recording window. Pair it with the attribution cursor's
-// opening setPhase so conservation against metrics holds exactly.
+// opening move so conservation against metrics holds exactly.
 func (p *Profiler) Start() {
 	if p == nil {
 		return
@@ -142,7 +138,7 @@ func (p *Profiler) Depth() int {
 }
 
 // Observe attributes n charged cycles to the live stack. Cycles charged
-// while the attribution context names no phase fall outside the serving
+// while the attribution cursor is parked fall outside the serving
 // window's conservation domain and are tallied in Dropped instead (zero in
 // a well-formed run: the window opens on PhaseFleet and closes at the
 // park).
@@ -155,13 +151,13 @@ func (p *Profiler) Observe(n uint64) {
 		p.mu.Unlock()
 		return
 	}
-	ph := p.attr.Phase
+	ph := p.met.Phase()
 	if ph == "" {
 		p.dropped += n
 		p.mu.Unlock()
 		return
 	}
-	k := Key{Tenant: p.attr.Tenant, Phase: ph}
+	k := Key{Tenant: p.met.Tenant(), Phase: ph}
 	m := p.samples[k]
 	if m == nil {
 		m = make(map[string]uint64)
@@ -233,7 +229,7 @@ func (p *Profiler) Samples() []Sample {
 	p.mu.Lock()
 	out := make([]Sample, 0, len(p.samples))
 	for k, m := range p.samples {
-		prefix := k.Label()
+		prefix := stackPrefix(k)
 		for stack, n := range m {
 			out = append(out, Sample{Key: k, Stack: prefix + stack, Cycles: n})
 		}

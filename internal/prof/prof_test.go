@@ -9,10 +9,10 @@ import (
 )
 
 func TestObserveAttributesToLiveStack(t *testing.T) {
-	attr := metrics.NewAttr()
-	p := New(attr)
+	met := metrics.New()
+	p := New(met)
 	p.Start()
-	attr.Tenant, attr.Phase = 3, "compute"
+	met.MoveCursor(3, "compute", 0, 0)
 	p.Observe(10) // bare root
 	p.Enter("kernel/dispatch")
 	p.Observe(5)
@@ -49,13 +49,13 @@ func TestObserveAttributesToLiveStack(t *testing.T) {
 }
 
 func TestObserveOutsideWindowAndPhase(t *testing.T) {
-	attr := metrics.NewAttr()
-	p := New(attr)
-	attr.Phase = "compute"
+	met := metrics.New()
+	p := New(met)
+	met.MoveCursor(metrics.NoTenant, "compute", 0, 0)
 	p.Observe(7) // before Start: ignored entirely
 	p.Start()
-	attr.Phase = ""
-	p.Observe(3) // in window, no phase: dropped
+	met.MoveCursor(metrics.NoTenant, "", 0, 0)
+	p.Observe(3) // in window, cursor parked: dropped
 	p.Stop()
 	p.Observe(9) // after Stop: ignored
 	if p.Total() != 0 {
@@ -85,14 +85,14 @@ func TestNilProfilerIsSafe(t *testing.T) {
 }
 
 func TestFoldedRoundTrip(t *testing.T) {
-	attr := metrics.NewAttr()
-	p := New(attr)
+	met := metrics.New()
+	p := New(met)
 	p.Start()
-	attr.Tenant, attr.Phase = 0, "compute"
+	met.MoveCursor(0, "compute", 0, 0)
 	p.Enter("kernel/dispatch")
 	p.Observe(42)
 	p.Exit()
-	attr.Tenant = 1
+	met.MoveCursor(1, "compute", 0, 0)
 	p.Observe(7)
 	p.Stop()
 
@@ -147,20 +147,19 @@ func TestTopAndDiff(t *testing.T) {
 }
 
 func TestCheckConservation(t *testing.T) {
-	attr := metrics.NewAttr()
 	met := metrics.New()
-	p := New(attr)
+	p := New(met)
 	p.Start()
-	attr.Tenant, attr.Phase = 2, "compute"
+	met.MoveCursor(2, "compute", 0, 0)
 	p.Observe(100)
+	met.MoveCursor(metrics.NoTenant, "", 100, 0)
 	p.Stop()
-	met.Add(metrics.FamilyTenantPhaseCycles, 100,
-		metrics.KV("phase", "compute"), metrics.KV("tenant", "2"))
 	if bad := p.CheckConservation(met); len(bad) != 0 {
 		t.Fatalf("conservation failed on matched totals: %v", bad)
 	}
-	met.Add(metrics.FamilyTenantPhaseCycles, 1,
-		metrics.KV("phase", "compute"), metrics.KV("tenant", "2"))
+	// One cycle the profiler never observed: the cursor flushes it.
+	met.MoveCursor(2, "compute", 100, 0)
+	met.MoveCursor(metrics.NoTenant, "", 101, 0)
 	if bad := p.CheckConservation(met); len(bad) == 0 {
 		t.Fatal("conservation passed on mismatched totals")
 	}
@@ -168,11 +167,11 @@ func TestCheckConservation(t *testing.T) {
 
 func TestExportsDeterministic(t *testing.T) {
 	build := func() *Profiler {
-		attr := metrics.NewAttr()
-		p := New(attr)
+		met := metrics.New()
+		p := New(met)
 		p.Start()
 		for tenant := 0; tenant < 4; tenant++ {
-			attr.Tenant, attr.Phase = tenant, "compute"
+			met.MoveCursor(tenant, "compute", 0, 0)
 			p.Enter("kernel/dispatch")
 			p.Observe(uint64(10 * (tenant + 1)))
 			p.Enter("cpu/page-walk")

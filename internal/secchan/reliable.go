@@ -55,11 +55,10 @@ type Reliable struct {
 	Track int32
 
 	// Met, when non-nil, tallies frame events into the shared telemetry
-	// registry; Attr supplies the tenant label the serving loop currently
-	// names (nil or unbound renders as tenant="-1"). Like Rec, recording
-	// never charges the virtual clock and never touches frame contents.
-	Met  *metrics.Registry
-	Attr *metrics.Attr
+	// registry under the tenant its attribution cursor names (tenant="-1"
+	// outside serving). Like Rec, recording never charges the virtual clock
+	// and never touches frame contents.
+	Met *metrics.Registry
 }
 
 // count tallies one frame event into the registry under the ambient tenant.
@@ -68,7 +67,7 @@ func (r *Reliable) count(dir string) {
 		return
 	}
 	r.Met.Inc(metrics.FamilyChannelFrames,
-		metrics.KV("dir", dir), metrics.KV("tenant", r.Attr.TenantLabel()))
+		metrics.KV("dir", dir), metrics.KV("tenant", metrics.TenantLabelOf(r.Met.Tenant())))
 }
 
 // ReliableStats counts what the resilience layer absorbed.

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 
 	"github.com/asterisc-release/erebor-go/internal/costs"
 	"github.com/asterisc-release/erebor-go/internal/egress"
@@ -389,19 +388,10 @@ type Server struct {
 	coreLoad []uint64
 	wall     uint64
 
-	// Attribution cursor: every virtual cycle of Run() is charged to exactly
-	// one (tenant, phase) registry series — the cursor flushes the elapsed
-	// delta to the previous pair at each transition, so per-tenant phase
-	// cycles sum to the serial total by construction. attrSD tracks
-	// Machine.ShootdownCycles to split shootdown overhead out per tenant.
-	attrTenant int
-	attrPhase  string
-	attrLast   uint64
-	attrSD     uint64
-	// attrSlot is the slot whose session the open phase belongs to (nil
-	// for fleet phases); attrSeg is the open phase-segment span the next
-	// transition will close. Both ride the same cursor so the span tree
-	// and the cycle attribution can never disagree.
+	// attrSlot is the slot whose session the registry's attribution cursor
+	// currently names (nil for fleet phases); attrSeg is the open
+	// phase-segment span the next transition will close. Both move with the
+	// cursor so the span tree and the cycle attribution can never disagree.
 	attrSlot *slot
 	attrSeg  trace.SpanRef
 
@@ -458,11 +448,11 @@ func New(cfg Config) (*Server, error) {
 		winLen = len(model)
 	}
 	s := &Server{cfg: cfg, pol: cfg.Retry, w: w, model: model, win: model[:winLen],
-		coreLoad: make([]uint64, cfg.VCPUs), attrTenant: metrics.NoTenant}
+		coreLoad: make([]uint64, cfg.VCPUs)}
 	if cfg.Profile {
 		// Attached now so frame pushes stay balanced through template/slot
 		// construction; recording only runs between Run's window edges.
-		s.prof = prof.New(w.Attr)
+		s.prof = prof.New(w.Met)
 		w.M.AttachProfiler(s.prof)
 	}
 	if cfg.Watchdog {
@@ -787,11 +777,10 @@ func phaseOf(st state) string {
 	}
 }
 
-// setPhase moves the attribution cursor: the cycles elapsed since the last
-// transition are flushed to the previous (tenant, phase) series, and the
-// ambient Attr context the monitor/kernel/secchan read is updated. Reading
-// the clock charges nothing, so attribution is cycle-neutral. phase "" parks
-// the cursor (nothing accumulates until the next setPhase).
+// setPhase moves the registry's attribution cursor (Registry.MoveCursor),
+// which flushes the cycles and shootdowns since the last transition to the
+// pair being left; the flushed delta also lands in the leaving slot's
+// per-phase latency. phase "" parks the cursor.
 //
 // The cursor also drives span causality: each contiguous (tenant, phase)
 // stretch is one KindPhase segment span parented under the slot's session
@@ -802,29 +791,15 @@ func phaseOf(st state) string {
 // ring to segments that explain something.
 func (s *Server) setPhase(sl *slot, tenant int, phase string) {
 	now := s.w.M.Clock.Now()
-	if s.attrPhase != "" {
-		delta := now - s.attrLast
-		if delta > 0 {
-			s.w.Met.Add(metrics.FamilyTenantPhaseCycles, delta,
-				metrics.KV("phase", s.attrPhase),
-				metrics.KV("tenant", metrics.TenantLabelOf(s.attrTenant)))
-			if s.attrSlot != nil && s.attrSlot.phase != nil {
-				s.attrSlot.phase[s.attrPhase] += delta
-			}
-		}
-		if sd := s.w.M.ShootdownCycles; sd > s.attrSD {
-			s.w.Met.Add(metrics.FamilyShootdownCycles, sd-s.attrSD,
-				metrics.KV("tenant", metrics.TenantLabelOf(s.attrTenant)))
-		}
-		if s.attrSeg.ID != 0 && (delta > 0 || s.w.Rec.Seq() != s.attrSeg.Mark) {
-			s.w.Rec.EndSpanAt(s.attrSeg, trace.KindPhase, trace.TrackServer,
-				s.attrPhase, now)
-		}
+	left := s.w.Met.Phase()
+	delta := s.w.Met.MoveCursor(tenant, phase, now, s.w.M.ShootdownCycles)
+	if delta > 0 && s.attrSlot != nil && s.attrSlot.phase != nil {
+		s.attrSlot.phase[left] += delta
 	}
-	s.attrSD = s.w.M.ShootdownCycles
-	s.attrTenant, s.attrPhase, s.attrLast = tenant, phase, now
+	if s.attrSeg.ID != 0 && (delta > 0 || s.w.Rec.Seq() != s.attrSeg.Mark) {
+		s.w.Rec.EndSpanAt(s.attrSeg, trace.KindPhase, trace.TrackServer, left, now)
+	}
 	s.attrSlot = sl
-	s.w.Attr.Tenant, s.w.Attr.Phase = tenant, phase
 	s.attrSeg = trace.SpanRef{}
 	if phase != "" {
 		var root trace.SpanID
@@ -1410,27 +1385,14 @@ func (s *Server) PhaseBreakdown() []PhaseRow {
 		}
 		return r
 	}
-	for _, sv := range s.w.Met.Series(metrics.FamilyTenantPhaseCycles) {
-		var tenant, phase = metrics.NoTenant, ""
-		for _, l := range sv.Labels {
-			switch l.Key {
-			case "tenant":
-				tenant, _ = strconv.Atoi(l.Value)
-			case "phase":
-				phase = l.Value
-			}
-		}
-		r := get(tenant)
-		r.Cycles[phase] += sv.Value
-		r.Total += sv.Value
+	cycles, shootdown := s.w.Met.Attribution()
+	for k, v := range cycles {
+		r := get(k.Tenant)
+		r.Cycles[k.Phase] += v
+		r.Total += v
 	}
-	for _, sv := range s.w.Met.Series(metrics.FamilyShootdownCycles) {
-		for _, l := range sv.Labels {
-			if l.Key == "tenant" {
-				t, _ := strconv.Atoi(l.Value)
-				get(t).Shootdown += sv.Value
-			}
-		}
+	for t, v := range shootdown {
+		get(t).Shootdown += v
 	}
 	out := make([]PhaseRow, 0, len(rows))
 	for _, r := range rows {

@@ -163,12 +163,13 @@ func TestPhaseConservation64Tenants(t *testing.T) {
 			_ = mon.M.Phys.Free(f)
 		}
 	}
-	start := s.World().M.Clock.Now()
+	start, sdStart := s.World().M.Clock.Now(), s.World().M.ShootdownCycles
 	rep, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	elapsed := s.World().M.Clock.Now() - start
+	shootdowns := s.World().M.ShootdownCycles - sdStart
 	if !batchFailed {
 		t.Fatal("injected batch failure never ran (hook round not reached)")
 	}
@@ -192,6 +193,15 @@ func TestPhaseConservation64Tenants(t *testing.T) {
 	}
 	if attributed != elapsed {
 		t.Fatalf("conservation broken: %d cycles attributed, %d elapsed", attributed, elapsed)
+	}
+	// The shootdown split conserves the same way: every initiator-side
+	// shootdown cycle of Run lands on exactly one tenant row.
+	var attributedSD uint64
+	for _, r := range rows {
+		attributedSD += r.Shootdown
+	}
+	if shootdowns == 0 || attributedSD != shootdowns {
+		t.Fatalf("shootdown split broken: %d cycles attributed, %d charged", attributedSD, shootdowns)
 	}
 	// Serial fleet: the report's wall total is the same serial elapsed time,
 	// minus the injected batch-failure detour (charged on the clock and

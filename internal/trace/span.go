@@ -6,9 +6,10 @@ package trace
 // timestamp, but no identity, so a slow session's cycles cannot be causally
 // decomposed across serve → secchan → monitor → kernel. This file adds span
 // IDs and parent IDs threaded through an ambient context handle — the same
-// pattern as metrics.Attr: the world is single-threaded per simulation, so
-// the current scope lives in one shared handle the serve loop rewrites at
-// phase boundaries, and every hook site picks its parent up for free.
+// pattern as the metrics registry's attribution cursor: the world is
+// single-threaded per simulation, so the current scope lives in one shared
+// handle the serve loop rewrites at phase boundaries, and every hook site
+// picks its parent up for free.
 //
 // The contract mirrors the rest of the recorder:
 //
@@ -26,10 +27,10 @@ package trace
 type SpanID uint64
 
 // Ctx is the ambient span-context handle: a stack of open scopes plus the
-// run-wide ID allocator. Like metrics.Attr it is a plain shared structure
-// mutated only from the simulation's single driving goroutine (the serve
-// loop rewrites the scope at phase boundaries; Begin/EndSpan push and pop
-// around nested work). All methods are nil-safe.
+// run-wide ID allocator. Like the metrics registry's attribution cursor it
+// is plain shared state mutated only from the simulation's single driving
+// goroutine (the serve loop rewrites the scope at phase boundaries;
+// Begin/EndSpan push and pop around nested work). All methods are nil-safe.
 type Ctx struct {
 	next  uint64
 	stack []SpanID

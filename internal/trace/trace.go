@@ -224,7 +224,8 @@ type Recorder struct {
 	drops  DropStore // store's drop sink, when it implements one
 
 	// ctx is the ambient span scope; mutated only from the simulation's
-	// driving goroutine, like metrics.Attr (see span.go).
+	// driving goroutine, like the metrics registry's attribution cursor
+	// (see span.go).
 	ctx *Ctx
 }
 
